@@ -258,63 +258,6 @@ void printParallelSpeedupTable() {
   std::printf("%s\n", T.str().c_str());
 }
 
-// TIME/VAR kernel comparison: the CSR sweep (dense arena arrays, zero
-// hot-path allocation) against the node-object reference (Digraph walks,
-// map-backed frequency lookups) on the interprocedural SCC-wave pass,
-// per job count, with a bit-for-bit memcmp of every function's TIME/VAR.
-void printCsrKernelTable() {
-  constexpr unsigned Funcs = 511;
-  std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 6);
-  CostModel CM = CostModel::optimizing();
-  DiagnosticEngine Diags;
-  auto PA = ProgramAnalysis::compute(*Prog, Diags);
-  if (!PA || !PA->allOk())
-    reportFatalError("analysis failed for many-function program");
-  std::map<const Function *, Frequencies> Freqs =
-      syntheticFrequencies(*Prog, *PA);
-
-  auto RunOnce = [&](TimeKernel Kernel, unsigned Jobs,
-                     std::vector<double> &Estimates) {
-    TimeAnalysisOptions Opts;
-    Opts.Kernel = Kernel;
-    Opts.Exec.Jobs = Jobs;
-    auto Start = std::chrono::steady_clock::now();
-    TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CM, Opts);
-    auto End = std::chrono::steady_clock::now();
-    Estimates.clear();
-    for (const auto &F : Prog->functions()) {
-      Estimates.push_back(TA.functionTime(*F));
-      Estimates.push_back(TA.functionVariance(*F));
-    }
-    return std::chrono::duration<double>(End - Start).count();
-  };
-
-  std::printf("=== TIME/VAR kernels on the SCC-wave pass (%u functions, "
-              "depth 6) ===\n",
-              Funcs);
-  TablePrinter T({"jobs", "csr [ms]", "node-objects [ms]", "csr speedup",
-                  "output"});
-  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
-    double BestCsr = 1e100, BestRef = 1e100;
-    std::vector<double> CsrEst, RefEst;
-    for (int Rep = 0; Rep < 5; ++Rep) {
-      BestCsr = std::min(BestCsr, RunOnce(TimeKernel::Csr, Jobs, CsrEst));
-      BestRef =
-          std::min(BestRef, RunOnce(TimeKernel::NodeObjects, Jobs, RefEst));
-    }
-    bool Identical = CsrEst.size() == RefEst.size() &&
-                     std::memcmp(CsrEst.data(), RefEst.data(),
-                                 CsrEst.size() * sizeof(double)) == 0;
-    char CsrMs[32], RefMs[32], Ratio[32];
-    std::snprintf(CsrMs, sizeof(CsrMs), "%.3f", BestCsr * 1e3);
-    std::snprintf(RefMs, sizeof(RefMs), "%.3f", BestRef * 1e3);
-    std::snprintf(Ratio, sizeof(Ratio), "%.2fx", BestRef / BestCsr);
-    T.addRow({std::to_string(Jobs), CsrMs, RefMs, Ratio,
-              Identical ? "identical" : "DIFFERS"});
-  }
-  std::printf("%s\n", T.str().c_str());
-}
-
 // Incremental re-estimation through an EstimationSession: dirty one leaf
 // of the many-function call tree, re-query, and compare against a cold
 // TimeAnalysis over the same inputs — wall clock, evaluation counts and a
@@ -1060,7 +1003,6 @@ void printStaticScalingTable() {
 
 int main(int Argc, char **Argv) {
   printStaticScalingTable();
-  printCsrKernelTable();
   printParallelSpeedupTable();
   printIncrementalReestimationTable();
   printObservabilityOverheadTable();

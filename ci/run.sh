@@ -5,10 +5,11 @@
 #
 # The complete CI gate, runnable locally with no arguments:
 #
-#   ci/run.sh            # tier-1 + TSan + UBSan (what CI runs)
+#   ci/run.sh            # tier-1 + TSan + UBSan + ASan (what CI runs)
 #   ci/run.sh tier1      # just the plain build + ctest
 #   ci/run.sh tsan       # just the -DPTRAN_SANITIZE=thread preset
 #   ci/run.sh ubsan      # just the -DPTRAN_SANITIZE=undefined preset
+#   ci/run.sh asan       # just the -DPTRAN_SANITIZE=address preset
 #
 # Each preset builds into its own directory (build-ci-*), so a CI run
 # never disturbs a developer's ./build tree, and the sanitizer trees run
@@ -29,7 +30,9 @@
 # contract; under ubsan stream_test, durable_test and repl_test rerun to
 # certify the cell-index arithmetic, LE record decoding, the
 # every-byte-length journal-truncation scan, and the appendRaw frame
-# validator on garbled replication input.
+# validator on garbled replication input. Under asan the whole suite runs
+# with AddressSanitizer (plus UBSan) instrumentation, so any out-of-bounds
+# access, use-after-free or leak fails the test that triggers it.
 #
 #===----------------------------------------------------------------------===#
 
@@ -66,13 +69,15 @@ case "${what}" in
 tier1) run_preset tier1 "" ;;
 tsan) run_preset tsan thread ;;
 ubsan) run_preset ubsan undefined ;;
+asan) run_preset asan address ;;
 all)
   run_preset tier1 ""
   run_preset tsan thread
   run_preset ubsan undefined
+  run_preset asan address
   ;;
 *)
-  echo "usage: ci/run.sh [tier1|tsan|ubsan|all]" >&2
+  echo "usage: ci/run.sh [tier1|tsan|ubsan|asan|all]" >&2
   exit 2
   ;;
 esac

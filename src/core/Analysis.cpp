@@ -62,7 +62,10 @@ ProgramAnalysis::compute(const Program &P, DiagnosticEngine &Diags,
   CancelToken *Cancel = Opts.Cancel;
 
   PoolLease Pool(Opts.Exec, Funcs.size(), Opts.Obs.Registry);
-  if (Pool->workerCount() == 0) {
+  // A single function runs inline, as TimeAnalysis runs a one-component
+  // wave: a pool task would only move the work (and its allocations,
+  // into a worker's malloc arena) off the calling thread.
+  if (Pool->workerCount() == 0 || Funcs.size() == 1) {
     for (size_t I = 0; I < Funcs.size(); ++I) {
       if (Cancel && Cancel->checkpoint()) {
         SkipFlags[I] = 1;

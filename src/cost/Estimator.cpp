@@ -44,19 +44,13 @@ std::unique_ptr<Estimator> Estimator::create(const Program &P,
   return Est;
 }
 
-std::unique_ptr<Estimator> Estimator::create(const Program &P,
-                                             const CostModel &CM,
-                                             DiagnosticEngine &Diags,
-                                             ProfileMode Mode,
-                                             unsigned Jobs) {
-  return create(P, CM, EstimatorOptions(Diags).mode(Mode).jobs(Jobs));
-}
-
-RunResult Estimator::profiledRun(uint64_t MaxSteps) {
+RunResult Estimator::profiledRun(uint64_t MaxSteps, ExecutionObserver *Extra) {
   TimingSpan Span(Opts.Obs.Registry, "profiled-run");
   Interpreter Interp(*P, CM);
   Interp.addObserver(Runtime.get());
   Interp.addObserver(Stats.get());
+  if (Extra)
+    Interp.addObserver(Extra);
   return Interp.run(MaxSteps);
 }
 
@@ -67,8 +61,6 @@ TimeAnalysis Estimator::analyze() {
 }
 
 TimeAnalysis Estimator::analyze(TimeAnalysisOptions TAOpts) {
-  if (TAOpts.Kernel == TimeKernel::Csr)
-    TAOpts.Kernel = Opts.Kernel;
   if (TAOpts.LoopVariance == LoopVarianceMode::Profiled && !TAOpts.Stats)
     TAOpts.Stats = Stats.get();
   if (!TAOpts.Exec.Pool && TAOpts.Exec.Jobs == 1)

@@ -11,11 +11,8 @@
 /// program database does), recover TOTAL_FREQ, compute relative
 /// frequencies, and finally the TIME/VAR estimates. Examples, tests and
 /// benchmarks all drive this class (directly or through an
-/// EstimationSession).
-///
-/// Construction is configured through EstimatorOptions; the historical
-/// positional-parameter create(P, CM, Diags, Mode, Jobs) overload remains
-/// as a deprecated shim.
+/// EstimationSession). Construction is configured through
+/// EstimatorOptions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +26,20 @@
 #include <memory>
 
 namespace ptran {
+
+/// Where an EstimationSession takes each function's relative frequencies
+/// from (the paper's Section 3 profile, or the compile-time estimate it
+/// contrasts with).
+enum class FrequencySource {
+  /// FREQ from the recovered TOTAL_FREQ profile (the default).
+  Profile,
+  /// FREQ from the static analysis alone (uniform branches, default trip
+  /// counts); the profile is still collected but never read.
+  Static,
+  /// Profiled FREQ for functions the profile observed at least once,
+  /// static FREQ for the rest.
+  Hybrid,
+};
 
 /// Options for one estimation campaign. Fluent setters keep call sites
 /// one-liners:
@@ -44,10 +55,9 @@ struct EstimatorOptions {
   /// Default loop-variance model for analyze() calls (and session queries)
   /// that do not specify one.
   LoopVarianceMode LoopVariance = LoopVarianceMode::Zero;
-  /// TIME/VAR propagation kernel for analyze() calls and session queries.
-  /// Csr (the default) and NodeObjects are bit-identical; NodeObjects
-  /// exists for differential testing and benchmarking.
-  TimeKernel Kernel = TimeKernel::Csr;
+  /// Frequency source for session queries. Quarantined and deadline-
+  /// degraded functions use static frequencies whatever the source.
+  FrequencySource FreqSource = FrequencySource::Profile;
   /// Sink for analysis/estimation diagnostics; null drops them. Must
   /// outlive the estimator when set.
   DiagnosticEngine *Diags = nullptr;
@@ -99,8 +109,8 @@ struct EstimatorOptions {
     LoopVariance = M;
     return *this;
   }
-  EstimatorOptions &kernel(TimeKernel K) {
-    Kernel = K;
+  EstimatorOptions &freqSource(FrequencySource S) {
+    FreqSource = S;
     return *this;
   }
   EstimatorOptions &diags(DiagnosticEngine &D) {
@@ -139,17 +149,11 @@ public:
   create(const Program &P, const CostModel &CM,
          const EstimatorOptions &Opts = EstimatorOptions());
 
-  /// Deprecated positional-parameter shim for the pre-EstimatorOptions
-  /// signature; forwards to the options-based overload.
-  [[deprecated("use Estimator::create(P, CM, "
-               "EstimatorOptions(Diags).mode(...).jobs(...))")]]
-  static std::unique_ptr<Estimator>
-  create(const Program &P, const CostModel &CM, DiagnosticEngine &Diags,
-         ProfileMode Mode = ProfileMode::Smart, unsigned Jobs = 1);
-
   /// Runs the program once with profiling attached, accumulating counter
-  /// values and loop-frequency moments. \returns the interpreter result.
-  RunResult profiledRun(uint64_t MaxSteps = 200'000'000);
+  /// values and loop-frequency moments. \p Extra, when set, observes the
+  /// same run (e.g. a SamplingProfile). \returns the interpreter result.
+  RunResult profiledRun(uint64_t MaxSteps = Interpreter::DefaultMaxSteps,
+                        ExecutionObserver *Extra = nullptr);
 
   /// Recovers totals and frequencies for every function from the counters
   /// accumulated so far, then runs the time/variance analysis.

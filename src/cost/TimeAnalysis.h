@@ -50,25 +50,8 @@ enum class LoopVarianceMode {
              ///< VAR = ((2*mean-1)^2 - 1) / 12.
 };
 
-/// Which propagation kernel evaluates the Section 4/5 recurrences. Both
-/// kernels compute bit-identical TIME/VAR/STD_DEV (asserted by the csr
-/// test suite across job counts); they differ only in data layout and
-/// speed.
-enum class TimeKernel {
-  /// Linear sweeps over the FlowArena's topologically-indexed CSR arrays
-  /// with dense per-position TIME/VAR buffers and dense FREQ lookups; no
-  /// heap allocation inside the sweep (proved by cost.hotpath.allocs).
-  Csr,
-  /// The original formulation walking the FCDG Digraph through
-  /// childrenOf()/labelsOf() and the map-backed freqOf(). Kept as the
-  /// reference for differential testing and benchmarking.
-  NodeObjects,
-};
-
 /// Options for the time/variance analysis.
 struct TimeAnalysisOptions {
-  /// Propagation kernel; Csr unless you are differential-testing.
-  TimeKernel Kernel = TimeKernel::Csr;
   LoopVarianceMode LoopVariance = LoopVarianceMode::Zero;
   /// Required when LoopVariance == Profiled.
   const LoopFrequencyStats *Stats = nullptr;

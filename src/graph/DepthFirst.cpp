@@ -69,9 +69,6 @@ DfsResult::DfsResult(const GraphView &G, NodeId Root)
   Rpo.assign(PostorderNodes.rbegin(), PostorderNodes.rend());
 }
 
-DfsResult::DfsResult(const Digraph &G, NodeId Root)
-    : DfsResult(CsrGraph(G).view(), Root) {}
-
 bool DfsResult::isTreeAncestor(NodeId Ancestor, NodeId N) const {
   assert(isReachable(Ancestor) && isReachable(N) &&
          "tree ancestry queries require reachable nodes");
@@ -82,10 +79,6 @@ bool DfsResult::isTreeAncestor(NodeId Ancestor, NodeId N) const {
 
 std::vector<NodeId> ptran::reversePostorder(const GraphView &G, NodeId Root) {
   return DfsResult(G, Root).reversePostorder();
-}
-
-std::vector<NodeId> ptran::reversePostorder(const Digraph &G, NodeId Root) {
-  return reversePostorder(CsrGraph(G).view(), Root);
 }
 
 std::optional<std::vector<NodeId>>
@@ -113,9 +106,4 @@ ptran::topologicalOrder(const GraphView &G) {
   if (Order.size() != N)
     return std::nullopt; // A cycle keeps some in-degrees positive.
   return Order;
-}
-
-std::optional<std::vector<NodeId>>
-ptran::topologicalOrder(const Digraph &G) {
-  return topologicalOrder(CsrGraph(G).view());
 }

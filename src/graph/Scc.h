@@ -10,8 +10,7 @@
 /// call graph; SCCs identify recursive cycles, which the paper defers and
 /// we handle with an optional fixed-point extension.
 ///
-/// The solver runs over a GraphView; the Digraph overloads remain as
-/// deprecated shims.
+/// The solver runs over a GraphView.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,18 +42,10 @@ struct SccResult {
   /// True if node \p N sits in a component that is a real cycle (more than
   /// one member, or a self-loop).
   bool isInCycle(const GraphView &G, NodeId N) const;
-
-  /// Deprecated shim: flattens \p G into a temporary CsrGraph first.
-  [[deprecated("build a CsrGraph once and pass its GraphView")]]
-  bool isInCycle(const Digraph &G, NodeId N) const;
 };
 
 /// Computes the SCCs of \p G (all nodes, reachable or not).
 SccResult computeSccs(const GraphView &G);
-
-/// Deprecated shim: flattens \p G into a temporary CsrGraph first.
-[[deprecated("build a CsrGraph once and pass its GraphView")]]
-SccResult computeSccs(const Digraph &G);
 
 } // namespace ptran
 

@@ -49,9 +49,12 @@ public:
   /// and must outlive the interpreter.
   void addObserver(ExecutionObserver *O) { Observers.push_back(O); }
 
+  /// The default runaway-loop backstop of run().
+  static constexpr uint64_t DefaultMaxSteps = 200'000'000;
+
   /// Runs the program entry procedure. \p MaxSteps bounds the number of
   /// executed statements (a runaway-loop backstop).
-  RunResult run(uint64_t MaxSteps = 200'000'000);
+  RunResult run(uint64_t MaxSteps = DefaultMaxSteps);
 
 private:
   const Program &Prog;

@@ -65,13 +65,14 @@ struct ScopedCancelSwap {
 };
 } // namespace
 
-RunResult EstimationSession::profiledRun(uint64_t MaxSteps) {
+RunResult EstimationSession::profiledRun(uint64_t MaxSteps,
+                                         ExecutionObserver *Extra) {
   std::lock_guard<std::mutex> L(Mu);
   ++Runs;
   RuntimeStale = true;
   if (ObsRegistry *Obs = Opts.Obs.Registry)
     Obs->addCounter("session.runs");
-  return Est->profiledRun(MaxSteps);
+  return Est->profiledRun(MaxSteps, Extra);
 }
 
 void EstimationSession::accumulateTotals(const Function &F,
@@ -223,9 +224,14 @@ void EstimationSession::degradeForDeadline(const Function &F,
                         " to static frequencies: " + Reason);
 }
 
+bool EstimationSession::usesStaticFrequencies(const Function &F) const {
+  return Opts.FreqSource == FrequencySource::Static ||
+         QuarantinedFns.count(&F) != 0;
+}
+
 std::string EstimationSession::refreshFunction(const Function &F,
                                                InputState &In) {
-  if (QuarantinedFns.count(&F)) {
+  if (usesStaticFrequencies(F)) {
     // Static frequencies depend only on the function's structure, so the
     // key is the structural fingerprint salted to never collide with a
     // profiled key.
@@ -269,7 +275,11 @@ std::string EstimationSession::refreshFunction(const Function &F,
   uint64_t Key = inputKeyOf(F, Totals);
   if (In.Key != Key || !FreqsByFunction.count(&F)) {
     In.Key = Key;
-    FreqsByFunction[&F] = computeFrequencies(Est->analysis().of(F), Totals);
+    const FunctionAnalysis &FA = Est->analysis().of(F);
+    FreqsByFunction[&F] =
+        Opts.FreqSource == FrequencySource::Hybrid
+            ? hybridFrequencies(FA, computeStaticFrequencies(FA), &Totals)
+            : computeFrequencies(FA, Totals);
   }
   return {};
 }
@@ -295,10 +305,10 @@ bool EstimationSession::refreshInputs(std::string &Error) {
         return false;
       }
       // Degrade: every function whose inputs were still pending completes
-      // this query from static frequencies. Quarantined functions are
-      // static already; just make sure their frequencies are installed
-      // (structural, no recovery — cheap).
-      if (QuarantinedFns.count(F.get()))
+      // this query from static frequencies. Static-source and quarantined
+      // functions are static already; just make sure their frequencies
+      // are installed (structural, no recovery — cheap).
+      if (usesStaticFrequencies(*F))
         refreshFunction(*F, In);
       else if (RuntimeStale || ExternalDirty.count(F.get()) ||
                !FreqsByFunction.count(F.get()))
@@ -306,9 +316,10 @@ bool EstimationSession::refreshInputs(std::string &Error) {
       continue;
     }
     // The recovery fixpoint is the expensive part of reading new
-    // counters; run it only when the runtime actually moved, not when a
-    // query follows a pure external-delta injection.
-    if (RuntimeStale && !QuarantinedFns.count(F.get())) {
+    // counters; run it only when the runtime actually moved (and some
+    // query will read it), not when a query follows a pure external-delta
+    // injection.
+    if (RuntimeStale && !usesStaticFrequencies(*F)) {
       In.Base = Est->runtime().recover(*F);
       std::string Issue = totalsIssue(In.Base);
       if (!Issue.empty()) {
@@ -400,7 +411,6 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache) {
   }
 
   TimeAnalysisOptions TAOpts;
-  TAOpts.Kernel = Opts.Kernel;
   TAOpts.LoopVariance = Cache.LoopVariance;
   if (Cache.LoopVariance == LoopVarianceMode::Profiled)
     TAOpts.Stats = &Est->loopStats();

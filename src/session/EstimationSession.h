@@ -148,8 +148,10 @@ public:
 
   /// Runs the program once with profiling attached; counters and loop
   /// moments accumulate across calls, exactly as the paper's program
-  /// database accumulates TOTAL_FREQ across runs.
-  RunResult profiledRun(uint64_t MaxSteps = 200'000'000);
+  /// database accumulates TOTAL_FREQ across runs. \p Extra, when set,
+  /// observes the same run (e.g. a SamplingProfile).
+  RunResult profiledRun(uint64_t MaxSteps = Interpreter::DefaultMaxSteps,
+                        ExecutionObserver *Extra = nullptr);
 
   /// Folds an externally recorded totals delta (e.g. another machine's
   /// program database) into \p F's accumulated totals. Node totals are
@@ -237,6 +239,14 @@ public:
     return DegradedFns.count(&F) != 0;
   }
 
+  /// Every function's relative frequencies as the most recent estimate()
+  /// analyzed them: profiled, hybrid or static per
+  /// EstimatorOptions::FreqSource, static for quarantined and degraded
+  /// functions. Same unlocked-read caveat as quarantined().
+  const std::map<const Function *, Frequencies> &frequencies() const {
+    return FreqsByFunction;
+  }
+
   /// Answers a batch of queries. Inputs are refreshed lazily: functions
   /// whose fingerprinted totals/moments are unchanged since the last
   /// query keep their cached summaries, and only the dirty closure is
@@ -308,11 +318,14 @@ private:
   /// inputs changed. Returns false (and sets \p Error) when recovery
   /// failed for some function.
   bool refreshInputs(std::string &Error);
+  /// True when \p F's frequencies come from the static analysis alone
+  /// (FrequencySource::Static, or quarantined).
+  bool usesStaticFrequencies(const Function &F) const;
   /// Re-derives one function's key and frequencies from its cached base
-  /// totals plus external deltas (or static frequencies when \p F is
-  /// quarantined). \returns the empty string, or — under
-  /// BadProfilePolicy::Fail — why externally contributed totals failed
-  /// validation.
+  /// totals plus external deltas (static frequencies when
+  /// usesStaticFrequencies(F), hybrid ones under FrequencySource::Hybrid).
+  /// \returns the empty string, or — under BadProfilePolicy::Fail — why
+  /// externally contributed totals failed validation.
   std::string refreshFunction(const Function &F, InputState &In);
   /// Why \p Totals are unusable as recovered profile data ("" = fine).
   std::string totalsIssue(const FrequencyTotals &Totals) const;

@@ -53,10 +53,12 @@ void ThreadPool::runInline(std::function<void()> Task) {
     Task();
     return;
   }
+  // Counted before the body runs: the body completes the task's future,
+  // and a caller returning from that future must already see the count.
+  Sink->addCounter("threadpool.tasks_executed", 1);
   auto Start = std::chrono::steady_clock::now();
   Task();
   uint64_t Ns = elapsedNs(Start, std::chrono::steady_clock::now());
-  Sink->addCounter("threadpool.tasks_executed", 1);
   Sink->addCounter("threadpool.busy_ns", Ns);
 }
 
@@ -82,10 +84,11 @@ void ThreadPool::workerLoop(std::stop_token St, unsigned Worker) {
     Lock.unlock();
     ObsSink *Sink = Obs.load(std::memory_order_acquire);
     if (Sink) {
+      // Counted before the body runs, as in runInline().
+      Sink->addCounter("threadpool.tasks_executed", 1);
       auto Start = std::chrono::steady_clock::now();
       Item.Fn();
       uint64_t Ns = elapsedNs(Start, std::chrono::steady_clock::now());
-      Sink->addCounter("threadpool.tasks_executed", 1);
       // EnqueuedAt is default-constructed when the sink was attached
       // between enqueue and dequeue; skip the bogus wait in that case.
       if (Item.EnqueuedAt != std::chrono::steady_clock::time_point())

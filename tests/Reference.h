@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Slow, obviously-correct reference implementations used to validate the
-/// production algorithms: reachability-based dominators and a literal
-/// transcription of the paper's Definition 2 of control dependence.
+/// production algorithms: reachability-based dominators, a literal
+/// transcription of the paper's Definition 2 of control dependence, and
+/// the node-object TIME/VAR evaluator of Sections 4 and 5.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,8 +16,10 @@
 #define PTRAN_TESTS_REFERENCE_H
 
 #include "cdg/ControlDependence.h"
+#include "cost/TimeAnalysis.h"
 #include "graph/Digraph.h"
 
+#include <map>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -41,6 +44,20 @@ std::vector<std::set<NodeId>> bruteForcePostDominators(const Digraph &G,
 /// postdominated by Y. Returns (X, Y, L) triples.
 std::set<std::tuple<NodeId, NodeId, LabelId>>
 bruteForceControlDependence(const Digraph &G, NodeId Stop);
+
+/// TIME/VAR of every node of every analyzed function, evaluated the way
+/// Sections 4 and 5 read: a bottom-up walk over each FCDG through
+/// childrenOf()/labelsOf() and the map-backed Frequencies::freqOf(),
+/// callees before callers over the call graph's SCCs, recursive SCCs
+/// iterated Opts.RecursionIterations times from zero summaries. Serial,
+/// and it performs TimeAnalysis's floating-point operations in the same
+/// order, so the production results must match it bit for bit.
+/// Functions without an analysis are skipped; calls into them cost only
+/// their linkage. Opts.Exec, Diags, Obs and Cancel are ignored.
+std::map<const Function *, std::vector<NodeEstimates>>
+referenceTimeEstimates(const ProgramAnalysis &PA,
+                       const std::map<const Function *, Frequencies> &Freqs,
+                       const CostModel &CM, const TimeAnalysisOptions &Opts);
 
 } // namespace testing
 } // namespace ptran

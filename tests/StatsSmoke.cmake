@@ -1,8 +1,8 @@
 # End-to-end observability smoke test: runs ptran-estimate with --stats
-# and --trace on a multi-function workload (classic and --session paths),
-# checks that the trace file is valid JSON carrying the expected span
-# names and that the stats tables reach stdout, and that the strict
-# numeric-flag parsing rejects garbage with an actionable message.
+# and --trace on a multi-function workload, checks that the trace file is
+# valid JSON carrying the expected span names and that the stats tables
+# (session and thread-pool counters included) reach stdout, and that the
+# strict numeric-flag parsing rejects garbage with an actionable message.
 # Invoked by CTest as:
 #
 #   cmake -DESTIMATOR=<path> -DWORK_DIR=<dir> -P StatsSmoke.cmake
@@ -44,34 +44,21 @@ function(check_trace_and_stats LABEL TRACE_FILE STDOUT_FILE)
   endif()
 endfunction()
 
-# Classic path.
+# Every invocation runs through an EstimationSession, so --stats must also
+# report session.* and (with two jobs) threadpool.* counters.
 execute_process(
-  COMMAND ${ESTIMATOR} --workload=loops --runs=2 --stats
-          --trace=${WORK_DIR}/classic_trace.json
-  OUTPUT_FILE ${WORK_DIR}/classic.txt
-  RESULT_VARIABLE CLASSIC_RC)
-if(NOT CLASSIC_RC EQUAL 0)
-  message(FATAL_ERROR "classic --stats run failed (rc=${CLASSIC_RC})")
+  COMMAND ${ESTIMATOR} --workload=loops --runs=2 --jobs=2 --stats
+          --trace=${WORK_DIR}/trace.json
+  OUTPUT_FILE ${WORK_DIR}/stats.txt
+  RESULT_VARIABLE STATS_RC)
+if(NOT STATS_RC EQUAL 0)
+  message(FATAL_ERROR "--stats run failed (rc=${STATS_RC})")
 endif()
-check_trace_and_stats(classic ${WORK_DIR}/classic_trace.json
-                      ${WORK_DIR}/classic.txt)
-
-# Session path: must additionally report session.* and threadpool.*
-# counters.
-execute_process(
-  COMMAND ${ESTIMATOR} --workload=loops --runs=2 --session --jobs=2 --stats
-          --trace=${WORK_DIR}/session_trace.json
-  OUTPUT_FILE ${WORK_DIR}/session.txt
-  RESULT_VARIABLE SESSION_RC)
-if(NOT SESSION_RC EQUAL 0)
-  message(FATAL_ERROR "--session --stats run failed (rc=${SESSION_RC})")
-endif()
-check_trace_and_stats(session ${WORK_DIR}/session_trace.json
-                      ${WORK_DIR}/session.txt)
-file(READ ${WORK_DIR}/session.txt SESSION_OUT)
+check_trace_and_stats(stats ${WORK_DIR}/trace.json ${WORK_DIR}/stats.txt)
+file(READ ${WORK_DIR}/stats.txt STATS_OUT)
 foreach(COUNTER session.runs session.queries threadpool.tasks_executed)
-  if(NOT SESSION_OUT MATCHES "${COUNTER}")
-    message(FATAL_ERROR "session --stats is missing counter '${COUNTER}'")
+  if(NOT STATS_OUT MATCHES "${COUNTER}")
+    message(FATAL_ERROR "--stats is missing counter '${COUNTER}'")
   endif()
 endforeach()
 
@@ -124,7 +111,7 @@ endif()
 # Durable-profile round trip: save from a profiled session, then estimate
 # with no new runs purely from the validated + ingested file.
 execute_process(
-  COMMAND ${ESTIMATOR} --workload=simple --session --runs=2
+  COMMAND ${ESTIMATOR} --workload=simple --runs=2
           --profile-out=${WORK_DIR}/smoke.ptpf
   OUTPUT_QUIET
   ERROR_VARIABLE SAVE_ERR
@@ -133,7 +120,7 @@ if(NOT SAVE_RC EQUAL 0)
   message(FATAL_ERROR "--profile-out failed: ${SAVE_ERR}")
 endif()
 execute_process(
-  COMMAND ${ESTIMATOR} --workload=simple --session --runs=0
+  COMMAND ${ESTIMATOR} --workload=simple --runs=0
           --profile-in=${WORK_DIR}/smoke.ptpf --on-bad-profile=fail
   OUTPUT_VARIABLE INGEST_OUT
   ERROR_VARIABLE INGEST_ERR
@@ -144,18 +131,26 @@ endif()
 if(NOT INGEST_OUT MATCHES "ingested")
   message(FATAL_ERROR "--profile-in printed no ingest report: ${INGEST_OUT}")
 endif()
-# --profile-in without --session must point at --session.
+# --profile-in combines with every other input and frequency flag: one
+# more run, the sampling profiler, a program database and hybrid
+# frequencies all feed the same session.
 execute_process(
-  COMMAND ${ESTIMATOR} --workload=simple --profile-in=${WORK_DIR}/smoke.ptpf
-  OUTPUT_QUIET
-  ERROR_VARIABLE NOSESSION_ERR
-  RESULT_VARIABLE NOSESSION_RC)
-if(NOSESSION_RC EQUAL 0)
-  message(FATAL_ERROR "--profile-in without --session was accepted")
+  COMMAND ${ESTIMATOR} --workload=simple --runs=1
+          --profile-in=${WORK_DIR}/smoke.ptpf --sampling=50000
+          --pdb=${WORK_DIR}/smoke.db --freq=hybrid
+  OUTPUT_VARIABLE COMBO_OUT
+  ERROR_VARIABLE COMBO_ERR
+  RESULT_VARIABLE COMBO_RC)
+if(NOT COMBO_RC EQUAL 0)
+  message(FATAL_ERROR "--profile-in with --sampling/--pdb/--freq failed: "
+                      "${COMBO_ERR}")
 endif()
-if(NOT NOSESSION_ERR MATCHES "--session")
-  message(FATAL_ERROR
-    "--profile-in/--session diagnostic not actionable: ${NOSESSION_ERR}")
-endif()
+foreach(EXPECTED "ingested" "sampling profile" "program database"
+        "TIME\\(START\\)")
+  if(NOT COMBO_OUT MATCHES "${EXPECTED}")
+    message(FATAL_ERROR
+      "combined --profile-in run printed no '${EXPECTED}': ${COMBO_OUT}")
+  endif()
+endforeach()
 
 message(STATUS "observability smoke test passed")

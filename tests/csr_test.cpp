@@ -7,23 +7,18 @@
 //   - CsrGraph reproduces a Digraph's adjacency (both directions) in
 //     insertion order with stable EdgeIds, and GraphView::reversed() is an
 //     exact role swap;
-//   - the deprecated Digraph overloads of DFS/dominators/SCC still compile
-//     (warnings suppressed here, as estimator_test does for the Estimator
-//     shim) and agree with the GraphView primaries;
 //   - the CSR TIME/VAR kernel is bit-identical (memcmp of every node
-//     estimate) to the node-object reference kernel across the Figure 1/3
-//     program, random reducible programs, the many-function workload, a
-//     program with an irreducible function, and the quarantine-degrade
-//     path, at one and many jobs.
+//     estimate) to the node-object reference evaluator in Reference.cpp
+//     across the Figure 1/3 program, random reducible programs, the
+//     many-function workload, a program with an irreducible function, and
+//     the quarantine-degrade path, at one and many jobs.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Reference.h"
 #include "TestPrograms.h"
 
 #include "cost/Estimator.h"
-#include "graph/DepthFirst.h"
-#include "graph/Dominators.h"
-#include "graph/Scc.h"
 #include "parser/Parser.h"
 #include "session/EstimationSession.h"
 #include "support/Rng.h"
@@ -32,7 +27,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <set>
 
 using namespace ptran;
 using namespace ptran::testing;
@@ -149,69 +143,7 @@ TEST(GraphView, EmptyAndIsolatedGraphs) {
 }
 
 //===----------------------------------------------------------------------===//
-// Deprecated Digraph shims: still compile, same answers
-//===----------------------------------------------------------------------===//
-
-TEST(DeprecatedShims, DigraphOverloadsAgreeWithGraphView) {
-  Rng R(23);
-  for (int Trial = 0; Trial < 12; ++Trial) {
-    Digraph G = randomDigraph(R, 2 + Trial, 0.25);
-    // Guarantee an exit-reaching spine so postdominators have a root.
-    for (NodeId N = 0; N + 1 < G.numNodes(); ++N)
-      G.addEdge(N, N + 1, 0);
-    CsrGraph Csr(G);
-    const GraphView View = Csr.view();
-    const NodeId Entry = 0;
-    const NodeId Exit = G.numNodes() - 1;
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    DfsResult OldDfs(G, Entry);
-    std::vector<NodeId> OldRpo = reversePostorder(G, Entry);
-    std::optional<std::vector<NodeId>> OldTopo = topologicalOrder(G);
-    DominatorTree OldDom(G, Entry);
-    DominatorTree OldPdt(G, Exit, DominatorTree::Direction::Post);
-    SccResult OldSccs = computeSccs(G);
-    bool OldRed = isReducible(G, Entry);
-#pragma GCC diagnostic pop
-
-    DfsResult NewDfs(View, Entry);
-    EXPECT_EQ(NewDfs.reversePostorder(), OldDfs.reversePostorder());
-    for (NodeId N = 0; N < G.numNodes(); ++N) {
-      EXPECT_EQ(NewDfs.preorder(N), OldDfs.preorder(N));
-      EXPECT_EQ(NewDfs.postorder(N), OldDfs.postorder(N));
-      EXPECT_EQ(NewDfs.parent(N), OldDfs.parent(N));
-    }
-    for (EdgeId E = 0; E < G.numEdgeSlots(); ++E)
-      EXPECT_EQ(NewDfs.edgeKind(E), OldDfs.edgeKind(E));
-
-    EXPECT_EQ(reversePostorder(View, Entry), OldRpo);
-    EXPECT_EQ(topologicalOrder(View), OldTopo);
-
-    DominatorTree NewDom(View, Entry);
-    DominatorTree NewPdt(View, Exit, DominatorTree::Direction::Post);
-    for (NodeId N = 0; N < G.numNodes(); ++N) {
-      EXPECT_EQ(NewDom.idom(N), OldDom.idom(N)) << "node " << N;
-      EXPECT_EQ(NewPdt.idom(N), OldPdt.idom(N)) << "node " << N;
-    }
-
-    SccResult NewSccs = computeSccs(View);
-    EXPECT_EQ(NewSccs.Component, OldSccs.Component);
-    EXPECT_EQ(NewSccs.Members, OldSccs.Members);
-    for (NodeId N = 0; N < G.numNodes(); ++N) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      bool OldCyc = OldSccs.isInCycle(G, N);
-#pragma GCC diagnostic pop
-      EXPECT_EQ(NewSccs.isInCycle(View, N), OldCyc);
-    }
-
-    EXPECT_EQ(isReducible(View, Entry), OldRed);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Kernel bit-identity: Csr vs NodeObjects
+// Kernel bit-identity: CSR kernel vs the node-object reference
 //===----------------------------------------------------------------------===//
 
 // Synthetic but structurally valid frequencies, identical for every run
@@ -241,28 +173,31 @@ syntheticFrequencies(const Program &Prog, const ProgramAnalysis &PA) {
   return Freqs;
 }
 
-/// Every analyzable function's node estimates must be byte-identical
-/// between the two analyses.
-void expectKernelsBitIdentical(const Program &Prog, const ProgramAnalysis &PA,
-                               const TimeAnalysis &Csr,
-                               const TimeAnalysis &Ref) {
-  for (const auto &F : Prog.functions()) {
+/// Every analyzable function's node estimates in \p TA must be
+/// byte-identical to the reference evaluator's on the same inputs.
+void expectMatchesReference(
+    const ProgramAnalysis &PA,
+    const std::map<const Function *, Frequencies> &Freqs,
+    const TimeAnalysisOptions &Opts, const TimeAnalysis &TA) {
+  std::map<const Function *, std::vector<NodeEstimates>> Ref =
+      referenceTimeEstimates(PA, Freqs, CostModel::optimizing(), Opts);
+  for (const auto &F : PA.program().functions()) {
     if (!PA.tryOf(*F))
       continue;
-    const std::vector<NodeEstimates> &EA = Csr.estimatesOf(*F);
-    const std::vector<NodeEstimates> &EB = Ref.estimatesOf(*F);
+    const std::vector<NodeEstimates> &EA = TA.estimatesOf(*F);
+    const std::vector<NodeEstimates> &EB = Ref.at(F.get());
     ASSERT_EQ(EA.size(), EB.size()) << F->name();
     EXPECT_EQ(std::memcmp(EA.data(), EB.data(),
                           EA.size() * sizeof(NodeEstimates)),
               0)
-        << "kernels disagree bitwise on " << F->name();
+        << "kernel disagrees bitwise with the reference on " << F->name();
   }
 }
 
-/// Runs both kernels on \p Prog with synthetic frequencies at \p Jobs and
-/// asserts bit-identity.
+/// Runs the kernel on \p Prog with synthetic frequencies at \p Jobs and
+/// asserts bit-identity with the reference.
 void compareKernels(const Program &Prog, unsigned Jobs,
-                    TimeAnalysisOptions Base) {
+                    TimeAnalysisOptions Opts) {
   DiagnosticEngine Diags;
   AnalysisOptions AOpts;
   AOpts.Exec.Jobs = Jobs;
@@ -271,17 +206,10 @@ void compareKernels(const Program &Prog, unsigned Jobs,
   std::map<const Function *, Frequencies> Freqs =
       syntheticFrequencies(Prog, *PA);
 
-  Base.Exec.Jobs = Jobs;
-  Base.Kernel = TimeKernel::Csr;
-  TimeAnalysis Csr =
-      TimeAnalysis::run(*PA, Freqs, CostModel::optimizing(), Base);
-  Base.Kernel = TimeKernel::NodeObjects;
-  TimeAnalysis Ref =
-      TimeAnalysis::run(*PA, Freqs, CostModel::optimizing(), Base);
-
-  expectKernelsBitIdentical(Prog, *PA, Csr, Ref);
-  EXPECT_EQ(Csr.programTime(), Ref.programTime());
-  EXPECT_EQ(Csr.programStdDev(), Ref.programStdDev());
+  Opts.Exec.Jobs = Jobs;
+  TimeAnalysis TA =
+      TimeAnalysis::run(*PA, Freqs, CostModel::optimizing(), Opts);
+  expectMatchesReference(*PA, Freqs, Opts, TA);
 }
 
 TEST(KernelBitIdentity, Figure1AtOneAndManyJobs) {
@@ -291,9 +219,9 @@ TEST(KernelBitIdentity, Figure1AtOneAndManyJobs) {
 }
 
 TEST(KernelBitIdentity, Figure3ExactValuesThroughTheCsrKernel) {
-  // The full profiled pipeline (default kernel = Csr) must still land on
-  // the paper's Figure 3 numbers exactly, and a NodeObjects re-analysis of
-  // the same estimator state must agree to the bit.
+  // The full profiled pipeline must still land on the paper's Figure 3
+  // numbers exactly, and the reference evaluator on the same recovered
+  // frequencies must agree to the bit.
   Figure1Program Fix = makeFigure1();
   DiagnosticEngine Diags;
   auto Est = Estimator::create(*Fix.Prog, CostModel::optimizing(),
@@ -301,24 +229,16 @@ TEST(KernelBitIdentity, Figure3ExactValuesThroughTheCsrKernel) {
   ASSERT_NE(Est, nullptr) << Diags.str();
   ASSERT_TRUE(Est->profiledRun().Ok);
 
-  TimeAnalysisOptions CsrOpts = figure3CostOptions();
-  CsrOpts.Kernel = TimeKernel::Csr;
-  TimeAnalysis Csr = Est->analyze(CsrOpts);
-  TimeAnalysisOptions RefOpts = figure3CostOptions();
-  RefOpts.Kernel = TimeKernel::NodeObjects;
-  TimeAnalysis Ref = Est->analyze(RefOpts);
+  TimeAnalysisOptions Opts = figure3CostOptions();
+  TimeAnalysis TA = Est->analyze(Opts);
+  EXPECT_DOUBLE_EQ(TA.programTime(), 920.0);
+  EXPECT_DOUBLE_EQ(TA.programStdDev(), 300.0);
 
-  EXPECT_EQ(Csr.programTime(), Ref.programTime());
-  EXPECT_EQ(Csr.programStdDev(), Ref.programStdDev());
-  for (const auto &F : Fix.Prog->functions()) {
-    const std::vector<NodeEstimates> &EA = Csr.estimatesOf(*F);
-    const std::vector<NodeEstimates> &EB = Ref.estimatesOf(*F);
-    ASSERT_EQ(EA.size(), EB.size());
-    EXPECT_EQ(std::memcmp(EA.data(), EB.data(),
-                          EA.size() * sizeof(NodeEstimates)),
-              0)
-        << F->name();
-  }
+  std::map<const Function *, Frequencies> Freqs;
+  for (const auto &F : Fix.Prog->functions())
+    Freqs[F.get()] =
+        computeFrequencies(Est->analysis().of(*F), Est->totalsFor(*F));
+  expectMatchesReference(Est->analysis(), Freqs, Opts, TA);
 }
 
 class KernelBitIdentityRandom : public ::testing::TestWithParam<uint64_t> {};
@@ -385,9 +305,9 @@ TEST(KernelBitIdentity, LoopVarianceModelsAgree) {
 }
 
 TEST(KernelBitIdentity, QuarantineDegradePathsAgree) {
-  // Two sessions differing only in kernel choice ingest the same corrupt
-  // profile under BadProfilePolicy::Quarantine: the degraded (static-
-  // frequency) estimates must also be bit-identical between kernels.
+  // A session ingests a corrupt profile under BadProfilePolicy::
+  // Quarantine: the degraded (static-frequency) estimates must also be
+  // bit-identical to the reference on the session's frequencies.
   const char *Src = R"FTN(
 program main
   x = 0.0
@@ -427,48 +347,25 @@ end
   }
   ASSERT_TRUE(Poisoned);
 
-  auto IngestAndEstimate = [&](TimeKernel K, DiagnosticEngine &Diags) {
-    auto S = EstimationSession::create(
-        *Prog, CostModel::optimizing(),
-        EstimatorOptions(Diags)
-            .kernel(K)
-            .onBadProfile(BadProfilePolicy::Quarantine));
-    EXPECT_NE(S, nullptr) << Diags.str();
-    ProfileIngestReport Report = S->ingestProfile(Corrupt);
-    EXPECT_TRUE(Report.Ok) << Report.Error;
-    EXPECT_EQ(Report.Quarantined, std::vector<std::string>{"mid"});
-    return S;
-  };
-  DiagnosticEngine D1, D2;
-  auto CsrSession = IngestAndEstimate(TimeKernel::Csr, D1);
-  auto RefSession = IngestAndEstimate(TimeKernel::NodeObjects, D2);
-  ASSERT_TRUE(CsrSession && RefSession);
+  DiagnosticEngine Diags;
+  auto Session = EstimationSession::create(
+      *Prog, CostModel::optimizing(),
+      EstimatorOptions(Diags).onBadProfile(BadProfilePolicy::Quarantine));
+  ASSERT_NE(Session, nullptr) << Diags.str();
+  ProfileIngestReport Report = Session->ingestProfile(Corrupt);
+  ASSERT_TRUE(Report.Ok) << Report.Error;
+  EXPECT_EQ(Report.Quarantined, std::vector<std::string>{"mid"});
 
-  // The quarantined function's own query carries the tag in both kernels.
-  EstimateResult CsrMid = CsrSession->estimate(EstimateRequest("mid"));
-  EstimateResult RefMid = RefSession->estimate(EstimateRequest("mid"));
-  ASSERT_TRUE(CsrMid.Ok) << CsrMid.Error;
-  ASSERT_TRUE(RefMid.Ok) << RefMid.Error;
-  EXPECT_TRUE(CsrMid.Quarantined);
-  EXPECT_TRUE(RefMid.Quarantined);
-  EXPECT_EQ(CsrMid.Time, RefMid.Time);
-  EXPECT_EQ(CsrMid.Var, RefMid.Var);
+  // The quarantined function's own query carries the tag.
+  EstimateResult Mid = Session->estimate(EstimateRequest("mid"));
+  ASSERT_TRUE(Mid.Ok) << Mid.Error;
+  EXPECT_TRUE(Mid.Quarantined);
 
-  EstimateResult CsrRes = CsrSession->estimateEntry();
-  EstimateResult RefRes = RefSession->estimateEntry();
-  ASSERT_TRUE(CsrRes.Ok) << CsrRes.Error;
-  ASSERT_TRUE(RefRes.Ok) << RefRes.Error;
-  EXPECT_EQ(CsrRes.Time, RefRes.Time);
-  EXPECT_EQ(CsrRes.Var, RefRes.Var);
-  for (const auto &F : Prog->functions()) {
-    const std::vector<NodeEstimates> &EA = CsrRes.Analysis->estimatesOf(*F);
-    const std::vector<NodeEstimates> &EB = RefRes.Analysis->estimatesOf(*F);
-    ASSERT_EQ(EA.size(), EB.size()) << F->name();
-    EXPECT_EQ(std::memcmp(EA.data(), EB.data(),
-                          EA.size() * sizeof(NodeEstimates)),
-              0)
-        << "degraded estimates of " << F->name() << " differ between kernels";
-  }
+  EstimateResult Res = Session->estimateEntry();
+  ASSERT_TRUE(Res.Ok) << Res.Error;
+  expectMatchesReference(Session->estimator().analysis(),
+                         Session->frequencies(), TimeAnalysisOptions(),
+                         *Res.Analysis);
 }
 
 } // namespace

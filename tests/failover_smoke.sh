@@ -122,6 +122,18 @@ wait_catchup() {
   return 1
 }
 
+# quiesce_primary <tag> — seal and fold every session's pending stream
+# deltas now. --stream-writers appends are never flushed by the client;
+# left alone, the primary's background flusher folds them some time
+# later, possibly after the reference probes ran, and the standby then
+# converges on answers ahead of the reference. Each connection sends an
+# estimate and then one append+flush request (--stream-every=2), whose
+# session alternates, so every session's epoch is sealed synchronously.
+quiesce_primary() {
+  "$CLIENT" --socket="$PSOCK" --connections=2 --requests=2 --sessions=2 \
+    --ingest-every=0 --stream-every=2 >"$WORK/$1.quiesce.log" 2>&1
+}
+
 # promote_standby <log> <tag> — SIGUSR1, wait for the promotion log line,
 # enforce the promotion SLO.
 promote_standby() {
@@ -188,6 +200,7 @@ grep -q "standby replica" "$WORK/reject.log" \
 "$CLIENT" --socket="$PSOCK" --connections=4 --requests=8 --sessions=2 \
   --ingest-every=3 --stream-every=2 --stream-writers=2 \
   >"$WORK/traffic2.log" 2>&1 || fail "live-tail traffic failed"
+quiesce_primary livetail || fail "live-tail quiesce failed"
 "$CLIENT" --socket="$PSOCK" $PROBES >"$WORK/ref2.out" 2>&1 \
   || fail "live-tail reference probes failed"
 wait_catchup "$WORK/ref2.out" livetail

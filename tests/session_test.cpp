@@ -5,8 +5,9 @@
 // Covers the EstimationSession subsystem: summary-cache invalidation (a
 // changed leaf re-evaluates exactly the leaf and its call-graph
 // ancestors), bit-identity of incremental vs cold recomputation, the
-// batch query API with per-request configuration overrides, and
-// determinism across job counts on one shared pool.
+// batch query API with per-request configuration overrides, the static
+// and hybrid frequency sources, determinism across job counts on one
+// shared pool, and the single-function analysis running inline.
 //
 //===----------------------------------------------------------------------===//
 
@@ -651,6 +652,96 @@ TEST(EstimationSession, CsrSweepDoesNotAllocateOnWarmQueries) {
   ASSERT_TRUE(Warm.Ok) << Warm.Error;
   EXPECT_GT(S->lastEvaluations(), 0u);
   EXPECT_EQ(Obs.counterValue("cost.hotpath.allocs"), 0u);
+}
+
+TEST(EstimationSession, StaticAndHybridFrequencySources) {
+  // "spare" is never called, so the profile never observes it: Static
+  // estimates every function from the compile-time analysis, Hybrid only
+  // the unobserved ones, Profile none.
+  DiagnosticEngine ParseDiags;
+  std::unique_ptr<Program> Prog = parseProgram(R"FTN(
+program main
+  x = 0.0
+  do 10 i = 1, 6
+    if (i .gt. 4) x = x + 1.0
+10 continue
+  call work(x)
+end
+subroutine work(x)
+  if (x .gt. 1.0) x = x - 1.0
+end
+subroutine spare(x)
+  if (x .gt. 0.0) x = 0.0
+end
+)FTN",
+                                               ParseDiags);
+  ASSERT_NE(Prog, nullptr) << ParseDiags.str();
+
+  auto Run = [&](FrequencySource Source, DiagnosticEngine &Diags) {
+    auto S = EstimationSession::create(
+        *Prog, CostModel::optimizing(),
+        EstimatorOptions(Diags).freqSource(Source));
+    EXPECT_NE(S, nullptr) << Diags.str();
+    EXPECT_TRUE(S->profiledRun().Ok);
+    EXPECT_TRUE(S->estimateEntry().Ok);
+    return S;
+  };
+  DiagnosticEngine D1, D2, D3;
+  auto Profile = Run(FrequencySource::Profile, D1);
+  auto Static = Run(FrequencySource::Static, D2);
+  auto Hybrid = Run(FrequencySource::Hybrid, D3);
+  ASSERT_TRUE(Profile && Static && Hybrid);
+
+  auto SameFreqs = [](const Frequencies &A, const Frequencies &B) {
+    return A.NodeFreq == B.NodeFreq && A.Invocations == B.Invocations;
+  };
+  for (const auto &F : Prog->functions()) {
+    const FunctionAnalysis &FA = Static->estimator().analysis().of(*F);
+    Frequencies StaticF = computeStaticFrequencies(FA).Freqs;
+    const Frequencies &P = Profile->frequencies().at(F.get());
+    EXPECT_TRUE(SameFreqs(Static->frequencies().at(F.get()), StaticF))
+        << F->name();
+    bool Observed = F->name() != "spare";
+    EXPECT_TRUE(SameFreqs(Hybrid->frequencies().at(F.get()),
+                          Observed ? P : StaticF))
+        << F->name();
+  }
+  // The static source never reads the profile, so its estimate differs
+  // from the profiled one on this input; hybrid agrees with the profile
+  // on the entry, which only reaches observed code.
+  EstimateResult PR = Profile->estimateEntry();
+  EstimateResult SR = Static->estimateEntry();
+  EstimateResult HR = Hybrid->estimateEntry();
+  EXPECT_NE(SR.Time, PR.Time);
+  EXPECT_EQ(HR.Time, PR.Time);
+  EXPECT_EQ(HR.Var, PR.Var);
+  EXPECT_FALSE(SR.Quarantined);
+}
+
+TEST(EstimationSession, SingleFunctionAnalysisRunsInline) {
+  // A one-function program gives each of create()'s two program analyses
+  // one task; handing it to the session's pool only moves the work (and
+  // its allocations) onto a worker thread. It must run inline.
+  DiagnosticEngine ParseDiags;
+  std::unique_ptr<Program> Prog = parseProgram(R"FTN(
+program main
+  x = 0.0
+  do 10 i = 1, 8
+    if (i .gt. 3) x = x + 1.0
+10 continue
+  print x
+end
+)FTN",
+                                               ParseDiags);
+  ASSERT_NE(Prog, nullptr) << ParseDiags.str();
+  ObsRegistry Obs;
+  DiagnosticEngine Diags;
+  auto S = EstimationSession::create(
+      *Prog, CostModel::optimizing(),
+      EstimatorOptions(Diags).jobs(4).observability(Obs));
+  ASSERT_NE(S, nullptr) << Diags.str();
+  ASSERT_TRUE(S->estimateEntry().Ok);
+  EXPECT_EQ(Obs.counterValue("threadpool.tasks_executed"), 0u);
 }
 
 } // namespace

@@ -20,14 +20,13 @@
 //   --jobs=N                analysis worker threads (default: hardware
 //                           concurrency; 1 = serial; results are identical
 //                           for every value)
-//   --session               drive the run/estimate flow through an
-//                           incremental EstimationSession (same output)
 //   --check                 verify the Section 3 identities on the profile
 //                           (findings make the exit code nonzero)
 //   --profile-out=FILE      save the accumulated counters + loop moments
 //                           as a durable, checksummed profile file
-//   --profile-in=FILE       (with --session) validate and ingest a saved
-//                           profile before estimating
+//   --profile-in=FILE       validate and ingest a saved profile before
+//                           estimating (adds to this invocation's runs,
+//                           and to a --pdb database's totals)
 //   --on-bad-profile=fail|quarantine   what to do with functions whose
 //                           profile data fails validation (default
 //                           quarantine: degrade them to static
@@ -46,13 +45,15 @@
 //   --version               print the version and exit
 //   --help                  print this option summary and exit
 //
+// Every invocation is one EstimationSession: the tool parses flags, feeds
+// the session (profiled runs, a saved profile, a program database's
+// totals) and prints what the session estimated.
+//
 //===----------------------------------------------------------------------===//
 
-#include "cost/Estimator.h"
-#include "obs/Observability.h"
 #include "cost/Report.h"
-#include "freq/StaticFrequencies.h"
 #include "ir/Printer.h"
+#include "obs/Observability.h"
 #include "profile/ConsistencyCheck.h"
 #include "parser/Parser.h"
 #include "pdb/ProgramDatabase.h"
@@ -63,7 +64,6 @@
 #include "support/TablePrinter.h"
 #include "workloads/Workloads.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -93,9 +93,8 @@ struct Options {
   double ChunkOverhead = 0.0;
   std::string Dot;
   std::string PdbFile;
-  enum class FreqSource { Profile, Static, Hybrid } Freq = FreqSource::Profile;
+  FrequencySource Freq = FrequencySource::Profile;
   bool Check = false;
-  bool Session = false;
   /// Durable profile to write after the runs (empty = none).
   std::string ProfileOut;
   /// Durable profile to validate and ingest before estimating.
@@ -132,11 +131,10 @@ const char *const UsageText =
     "  --chunk=P,OVERHEAD      Kruskal-Weiss advice for every DO loop\n"
     "  --freq=profile|static|hybrid   frequency source (default profile)\n"
     "  --jobs=N                worker threads (0 = hardware concurrency)\n"
-    "  --session               drive the flow through an EstimationSession\n"
     "  --check                 verify the Section 3 identities (findings\n"
     "                          make the exit code nonzero)\n"
     "  --profile-out=FILE      save the accumulated profile (checksummed)\n"
-    "  --profile-in=FILE       validate + ingest a saved profile (--session)\n"
+    "  --profile-in=FILE       validate + ingest a saved profile\n"
     "  --on-bad-profile=fail|quarantine   bad-profile policy (default\n"
     "                          quarantine: degrade to static frequencies)\n"
     "  --deadline-ms=N         wall-clock deadline for the invocation\n"
@@ -244,11 +242,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opts, std::string &Error) {
     } else if (Arg.rfind("--freq=", 0) == 0) {
       std::string V = toLower(Value("--freq="));
       if (V == "profile")
-        Opts.Freq = Options::FreqSource::Profile;
+        Opts.Freq = FrequencySource::Profile;
       else if (V == "static")
-        Opts.Freq = Options::FreqSource::Static;
+        Opts.Freq = FrequencySource::Static;
       else if (V == "hybrid")
-        Opts.Freq = Options::FreqSource::Hybrid;
+        Opts.Freq = FrequencySource::Hybrid;
       else
         return Invalid("--freq", V, "profile|static|hybrid");
     } else if (Arg.rfind("--jobs=", 0) == 0) {
@@ -258,8 +256,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts, std::string &Error) {
       if (!J)
         return Invalid("--jobs", Value("--jobs="), "a non-negative number");
       Opts.Jobs = *J;
-    } else if (Arg == "--session") {
-      Opts.Session = true;
     } else if (Arg == "--check") {
       Opts.Check = true;
     } else if (Arg.rfind("--profile-out=", 0) == 0) {
@@ -323,30 +319,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts, std::string &Error) {
     Error = "no input: pass FILE.f or --workload=loops|simple";
     return false;
   }
-  if (Opts.Session) {
-    // The session path owns the run/recover/estimate flow end to end;
-    // flags that swap in a different frequency source or attach extra
-    // observers only exist on the classic path.
-    if (!Opts.PdbFile.empty()) {
-      Error = "--session does not combine with --pdb (the session is its "
-              "own accumulator); drop one of the two";
-      return false;
-    }
-    if (Opts.SamplingPeriod > 0.0) {
-      Error = "--session does not combine with --sampling; drop one of "
-              "the two";
-      return false;
-    }
-    if (Opts.Freq != Options::FreqSource::Profile) {
-      Error = "--session only supports --freq=profile";
-      return false;
-    }
-  }
-  if (!Opts.ProfileIn.empty() && !Opts.Session) {
-    Error = "--profile-in needs --session (ingestion goes through the "
-            "session's validator); add --session";
-    return false;
-  }
   if (Opts.Runs == 0 && Opts.ProfileIn.empty()) {
     Error = "--runs=0 only makes sense with --profile-in (no runs and no "
             "profile leaves nothing to estimate from)";
@@ -380,16 +352,8 @@ std::unique_ptr<Program> loadProgram(const Options &Opts,
 }
 
 void printStatementTable(const Estimator &Est, const Function &F,
-                         const TimeAnalysis &TA) {
+                         const Frequencies &Freqs, const TimeAnalysis &TA) {
   const FunctionAnalysis &FA = Est.analysis().of(F);
-  FrequencyTotals Totals = Est.totalsFor(F);
-  if (!Totals.Ok) {
-    std::fprintf(stderr,
-                 "no recoverable frequencies for %s (naive mode?)\n",
-                 F.name().c_str());
-    return;
-  }
-  Frequencies Freqs = computeFrequencies(FA, Totals);
   TablePrinter T({"statement", "NODE_FREQ", "COST", "TIME", "VAR",
                   "STD_DEV"});
   for (StmtId S = 0; S < F.numStmts(); ++S) {
@@ -405,21 +369,19 @@ void printStatementTable(const Estimator &Est, const Function &F,
               T.str().c_str());
 }
 
-void printChunkAdvice(const Estimator &Est, const TimeAnalysis &TA,
-                      unsigned P, double Overhead) {
+void printChunkAdvice(const Estimator &Est,
+                      const std::map<const Function *, Frequencies> &Freqs,
+                      const TimeAnalysis &TA, unsigned P, double Overhead) {
   TablePrinter T({"procedure", "DO loop", "trips", "E[body]", "VAR[body]",
                   "KW chunk"});
   for (const auto &F : Est.analysis().program().functions()) {
     const FunctionAnalysis &FA = Est.analysis().of(*F);
-    FrequencyTotals Totals = Est.totalsFor(*F);
-    if (!Totals.Ok)
-      continue;
-    Frequencies Freqs = computeFrequencies(FA, Totals);
     for (NodeId H : FA.intervals().headers()) {
       StmtId S = FA.cfg().origin(H);
       if (S == InvalidStmt || F->stmt(S)->kind() != StmtKind::DoStart)
         continue;
-      LoopScheduleAdvice A = adviseChunkSize(TA, FA, Freqs, H, P, Overhead);
+      LoopScheduleAdvice A =
+          adviseChunkSize(TA, FA, Freqs.at(F.get()), H, P, Overhead);
       T.addRow({F->name(), printStmt(*F, F->stmt(S)),
                 formatDouble(A.TripCount, 5), formatDouble(A.BodyMean, 5),
                 formatDouble(A.BodyVar, 5), std::to_string(A.Chunk)});
@@ -429,25 +391,12 @@ void printChunkAdvice(const Estimator &Est, const TimeAnalysis &TA,
               formatDouble(Overhead).c_str(), T.str().c_str());
 }
 
-/// Prints the run header shared by the classic and session paths.
-void printRunSummary(const Options &Opts, const Estimator &Est,
-                     double Cycles) {
-  std::printf("%u run(s), %s simulated cycles total; profiling overhead "
-              "%s cycles (%u counters, %llu updates)\n\n",
-              Opts.Runs, formatDouble(Cycles).c_str(),
-              formatDouble(Est.runtime().overheadCycles()).c_str(),
-              Est.plan().totalCounters(),
-              static_cast<unsigned long long>(
-                  Est.runtime().dynamicIncrements() +
-                  Est.runtime().dynamicAdds()));
-}
-
-/// Prints the estimate block shared by the classic and session paths.
+/// Prints the estimate block from the session's frequencies and analysis.
 /// Returns 0, or 1 when a named procedure does not exist.
 int printEstimates(const Options &Opts, const Program &Prog,
-                   const Estimator &Est,
-                   const std::map<const Function *, Frequencies> &Freqs,
-                   const TimeAnalysis &TA) {
+                   const EstimationSession &Session, const TimeAnalysis &TA) {
+  const Estimator &Est = Session.estimator();
+  const std::map<const Function *, Frequencies> &Freqs = Session.frequencies();
   std::printf("flat profile (estimated):\n%s\n",
               formatProcedureReport(
                   buildProcedureReport(Est.analysis(), Freqs, TA))
@@ -465,7 +414,7 @@ int printEstimates(const Options &Opts, const Program &Prog,
       return 1;
     }
     std::printf("\n");
-    printStatementTable(Est, *F, TA);
+    printStatementTable(Est, *F, Freqs.at(F), TA);
   }
 
   if (!Opts.AnnotateProc.empty()) {
@@ -483,7 +432,7 @@ int printEstimates(const Options &Opts, const Program &Prog,
 
   if (Opts.ChunkP > 0) {
     std::printf("\n");
-    printChunkAdvice(Est, TA, Opts.ChunkP, Opts.ChunkOverhead);
+    printChunkAdvice(Est, Freqs, TA, Opts.ChunkP, Opts.ChunkOverhead);
   }
   return 0;
 }
@@ -516,24 +465,13 @@ void printIngestReport(const std::string &Path,
                 Path.c_str(), Report.Accepted, Report.Quarantined.size());
 }
 
-/// Prints which functions are estimated from static frequencies and why.
-void printQuarantineSummary(const EstimationSession &Session) {
-  if (Session.quarantined().empty())
+/// Prints the functions \p Why sends to static frequencies, with reasons.
+void printStaticSummary(const char *Heading,
+                        const std::map<const Function *, std::string> &Why) {
+  if (Why.empty())
     return;
-  std::printf("\nquarantined procedures (estimates use static "
-              "frequencies):\n");
-  for (const auto &[F, Reason] : Session.quarantined())
-    std::printf("  %-12s %s\n", F->name().c_str(), Reason.c_str());
-}
-
-/// Prints which functions the deadline degraded to static frequencies.
-void printDegradeSummary(
-    const std::map<const Function *, std::string> &Degraded) {
-  if (Degraded.empty())
-    return;
-  std::printf("\ndegraded procedures (deadline hit; estimates use static "
-              "frequencies):\n");
-  for (const auto &[F, Reason] : Degraded)
+  std::printf("\n%s:\n", Heading);
+  for (const auto &[F, Reason] : Why)
     std::printf("  %-12s %s\n", F->name().c_str(), Reason.c_str());
 }
 
@@ -559,19 +497,52 @@ void printPlansAndDot(const Options &Opts, const Program &Prog,
   }
 }
 
-/// The incremental path: one EstimationSession owns the runs, the cached
-/// summaries and the analysis; the tool is a thin client of estimate().
-int runSessionPath(const Options &Opts, const Program &Prog,
-                   const CostModel &CM, ObsRegistry *Obs) {
-  DiagnosticEngine TADiags;
+/// Program-database round trip: folds the totals \p Path holds into the
+/// session, then adds this invocation's recovered totals to the database
+/// and saves it. A missing file starts an empty database; an unreadable
+/// one is reported and replaced.
+void roundTripProgramDatabase(const std::string &Path, const Program &Prog,
+                              EstimationSession &Session) {
+  const Estimator &Est = Session.estimator();
+  DiagnosticEngine Diags;
+  ProgramDatabase Db;
+  struct stat St;
+  if (::stat(Path.c_str(), &St) == 0) {
+    if (auto Loaded = ProgramDatabase::loadFromFile(Path, Diags))
+      Db = std::move(*Loaded);
+    else
+      std::fprintf(stderr, "ignoring unreadable program database:\n%s",
+                   Diags.str().c_str());
+  }
+  for (const auto &F : Prog.functions()) {
+    const FunctionAnalysis &FA = Est.analysis().of(*F);
+    FrequencyTotals Stored = Db.totalsFor(FA);
+    if (Stored.Ok)
+      Session.accumulateTotals(*F, Stored);
+    Db.accumulateTotals(FA, Est.totalsFor(*F));
+  }
+  Db.noteRunCompleted();
+  if (!Db.saveToFile(Path, Diags))
+    std::fprintf(stderr, "%s", Diags.str().c_str());
+  else
+    std::printf("program database %s now covers %u accumulation(s)\n\n",
+                Path.c_str(), Db.runsRecorded());
+}
+
+/// The whole invocation: one EstimationSession owns the runs, the ingested
+/// profile, the database totals and the analysis; the tool only prints.
+int runEstimation(const Options &Opts, const Program &Prog,
+                  const CostModel &CM, ObsRegistry *Obs) {
+  DiagnosticEngine Diags;
   RetryPolicy IoRetry = RetryPolicy().retries(Opts.IoRetries);
   // The token outlives the session (same scope) and is armed before any
   // work, so the deadline covers the whole invocation.
   CancelToken Token;
-  EstimatorOptions EOpts = EstimatorOptions(TADiags)
+  EstimatorOptions EOpts = EstimatorOptions(Diags)
                                .mode(Opts.Mode)
                                .jobs(Opts.Jobs)
                                .loopVariance(Opts.LoopVariance)
+                               .freqSource(Opts.Freq)
                                .onBadProfile(Opts.OnBadProfile)
                                .onDeadline(Opts.OnDeadline)
                                .ioRetry(IoRetry);
@@ -583,15 +554,21 @@ int runSessionPath(const Options &Opts, const Program &Prog,
     EOpts.observability(*Obs);
   auto Session = EstimationSession::create(Prog, CM, EOpts);
   if (!Session) {
-    std::fprintf(stderr, "analysis failed:\n%s", TADiags.str().c_str());
+    std::fprintf(stderr, "analysis failed:\n%s", Diags.str().c_str());
     return 1;
   }
   const Estimator &Est = Session->estimator();
   printPlansAndDot(Opts, Prog, Est);
 
+  // Optional sampling profiler observing the same runs as the counters.
+  std::unique_ptr<SamplingProfile> Sampler;
+  if (Opts.SamplingPeriod > 0.0)
+    Sampler = std::make_unique<SamplingProfile>(CM, Opts.SamplingPeriod);
+
   double Cycles = 0.0;
   for (unsigned R = 0; R < Opts.Runs; ++R) {
-    RunResult Run = Session->profiledRun();
+    RunResult Run =
+        Session->profiledRun(Interpreter::DefaultMaxSteps, Sampler.get());
     if (!Run.Ok) {
       std::fprintf(stderr, "run %u failed: %s\n", R + 1, Run.Error.c_str());
       return 1;
@@ -600,7 +577,16 @@ int runSessionPath(const Options &Opts, const Program &Prog,
     if (R == 0 && !Run.Output.empty())
       std::printf("program output:\n%s", Run.Output.c_str());
   }
-  printRunSummary(Opts, Est, Cycles);
+  std::printf("%u run(s), %s simulated cycles total; profiling overhead "
+              "%s cycles (%u counters, %llu updates)\n\n",
+              Opts.Runs, formatDouble(Cycles).c_str(),
+              formatDouble(Est.runtime().overheadCycles()).c_str(),
+              Est.plan().totalCounters(),
+              static_cast<unsigned long long>(
+                  Est.runtime().dynamicIncrements() +
+                  Est.runtime().dynamicAdds()));
+  if (Sampler)
+    std::printf("%s\n", Sampler->report().c_str());
 
   // Ingest a saved profile before any estimate: an unreadable file is a
   // hard error under either policy (there is nothing to degrade to — the
@@ -645,190 +631,24 @@ int runSessionPath(const Options &Opts, const Program &Prog,
   if (Opts.Check && printFrequencyCheck(Prog, Est) > 0)
     Rc = 1;
 
+  if (!Opts.PdbFile.empty())
+    roundTripProgramDatabase(Opts.PdbFile, Prog, *Session);
+
   EstimateResult Res = Session->estimateEntry();
-  if (!TADiags.diagnostics().empty())
-    std::fprintf(stderr, "%s", TADiags.str().c_str());
+  if (!Diags.diagnostics().empty())
+    std::fprintf(stderr, "%s", Diags.str().c_str());
   if (!Res.Ok) {
     std::fprintf(stderr, "estimation failed: %s\n", Res.Error.c_str());
     return 1;
   }
 
-  // The flat profile wants per-function frequencies; recompute them from
-  // the same inputs the session estimated from (quarantined functions use
-  // static frequencies, like the session does).
-  std::map<const Function *, Frequencies> Freqs;
-  for (const auto &F : Prog.functions())
-    Freqs[F.get()] =
-        Session->isQuarantined(*F) || Session->isDegraded(*F)
-            ? computeStaticFrequencies(Est.analysis().of(*F)).Freqs
-            : computeFrequencies(Est.analysis().of(*F), Est.totalsFor(*F));
-  int EstimatesRc = printEstimates(Opts, Prog, Est, Freqs, *Res.Analysis);
-  printQuarantineSummary(*Session);
-  printDegradeSummary(Session->degraded());
-  return EstimatesRc != 0 ? EstimatesRc : Rc;
-}
-
-/// The classic path: the tool drives the interpreter and the analysis
-/// itself (sampling, pdb round trips and alternate frequency sources live
-/// here only).
-int runClassicPath(const Options &Opts, const Program &Prog,
-                   const CostModel &CM, DiagnosticEngine &Diags,
-                   ObsRegistry *Obs) {
-  RetryPolicy IoRetry = RetryPolicy().retries(Opts.IoRetries);
-  CancelToken Token;
-  EstimatorOptions EOpts =
-      EstimatorOptions(Diags).mode(Opts.Mode).jobs(Opts.Jobs).loopVariance(
-          Opts.LoopVariance);
-  if (Opts.DeadlineMs) {
-    Token.setDeadlineIn(std::chrono::milliseconds(*Opts.DeadlineMs));
-    EOpts.cancel(Token);
-  }
-  if (Obs)
-    EOpts.observability(*Obs);
-  std::unique_ptr<Estimator> Est = Estimator::create(Prog, CM, EOpts);
-  if (!Est) {
-    std::fprintf(stderr, "analysis failed:\n%s", Diags.str().c_str());
-    return 1;
-  }
-
-  printPlansAndDot(Opts, Prog, *Est);
-
-  // Optional sampling profiler alongside the counter runtime.
-  std::unique_ptr<SamplingProfile> Sampler;
-  if (Opts.SamplingPeriod > 0.0)
-    Sampler = std::make_unique<SamplingProfile>(CM, Opts.SamplingPeriod);
-
-  double Cycles = 0.0;
-  for (unsigned R = 0; R < Opts.Runs; ++R) {
-    TimingSpan RunSpan(Obs, "profiled-run");
-    Interpreter Interp(Prog, CM);
-    Interp.addObserver(&Est->runtimeMutable());
-    // Feed the loop-frequency moments too: --loop-variance=profiled (the
-    // default) is meaningless without them.
-    Interp.addObserver(&Est->loopStatsMutable());
-    if (Sampler)
-      Interp.addObserver(Sampler.get());
-    RunResult Run = Interp.run();
-    if (!Run.Ok) {
-      std::fprintf(stderr, "run %u failed: %s\n", R + 1, Run.Error.c_str());
-      return 1;
-    }
-    Cycles += Run.Cycles;
-    if (R == 0 && !Run.Output.empty())
-      std::printf("program output:\n%s", Run.Output.c_str());
-  }
-  printRunSummary(Opts, *Est, Cycles);
-
-  if (Sampler)
-    std::printf("%s\n", Sampler->report().c_str());
-
-  int Rc = 0;
-  if (!Opts.ProfileOut.empty()) {
-    DiagnosticEngine SaveDiags;
-    ProfileFile PF = ProfileFile::capture(Est->analysis(), Est->plan(),
-                                          Est->runtime(), &Est->loopStats(),
-                                          Opts.Runs);
-    if (!PF.saveToFile(Opts.ProfileOut, &SaveDiags, IoRetry, Obs)) {
-      std::fprintf(stderr, "%s", SaveDiags.str().c_str());
-      Rc = 1;
-    } else {
-      std::printf("profile saved to %s (%u run(s))\n\n",
-                  Opts.ProfileOut.c_str(), Opts.Runs);
-    }
-  }
-
-  if (Opts.Mode == ProfileMode::Naive) {
-    std::printf("naive mode measures basic blocks only; rerun with "
-                "--mode=smart for estimates\n");
-    return Rc;
-  }
-
-  if (Opts.Check && printFrequencyCheck(Prog, *Est) > 0)
-    Rc = 1;
-
-  // Program-database round trip, if requested.
-  std::map<const Function *, Frequencies> Freqs;
-  if (!Opts.PdbFile.empty()) {
-    ProgramDatabase Db;
-    struct stat St;
-    if (::stat(Opts.PdbFile.c_str(), &St) == 0) {
-      auto Loaded = ProgramDatabase::loadFromFile(Opts.PdbFile, Diags);
-      if (Loaded)
-        Db = std::move(*Loaded);
-      else
-        std::fprintf(stderr, "ignoring unreadable program database:\n%s",
-                     Diags.str().c_str());
-    }
-    for (const auto &F : Prog.functions())
-      Db.accumulateTotals(Est->analysis().of(*F), Est->totalsFor(*F));
-    Db.noteRunCompleted();
-    if (!Db.saveToFile(Opts.PdbFile, Diags))
-      std::fprintf(stderr, "%s", Diags.str().c_str());
-    else
-      std::printf("program database %s now covers %u accumulation(s)\n\n",
-                  Opts.PdbFile.c_str(), Db.runsRecorded());
-    for (const auto &F : Prog.functions()) {
-      FrequencyTotals T = Db.totalsFor(Est->analysis().of(*F));
-      Freqs[F.get()] = computeFrequencies(
-          Est->analysis().of(*F),
-          T.Ok ? T : Est->totalsFor(*F));
-    }
-  } else {
-    for (const auto &F : Prog.functions()) {
-      const FunctionAnalysis &FA = Est->analysis().of(*F);
-      switch (Opts.Freq) {
-      case Options::FreqSource::Profile:
-        Freqs[F.get()] = computeFrequencies(FA, Est->totalsFor(*F));
-        break;
-      case Options::FreqSource::Static:
-        Freqs[F.get()] = computeStaticFrequencies(FA).Freqs;
-        break;
-      case Options::FreqSource::Hybrid: {
-        FrequencyTotals T = Est->totalsFor(*F);
-        StaticFrequencies S = computeStaticFrequencies(FA);
-        Freqs[F.get()] = hybridFrequencies(FA, S, &T);
-        break;
-      }
-      }
-    }
-  }
-
-  TimeAnalysisOptions TAOpts;
-  TAOpts.LoopVariance = Opts.LoopVariance;
-  TAOpts.Stats = &Est->loopStats();
-  TAOpts.Exec.Jobs = Opts.Jobs;
-  TAOpts.Obs.Registry = Obs;
-  DiagnosticEngine TADiags;
-  TAOpts.Diags = &TADiags;
-  if (Opts.DeadlineMs)
-    TAOpts.Cancel = &Token;
-  TimeAnalysis TA = TimeAnalysis::run(Est->analysis(), Freqs, CM, TAOpts);
-  std::map<const Function *, std::string> Degraded;
-  if (TA.cutShort()) {
-    if (Opts.OnDeadline == DeadlinePolicy::Fail) {
-      if (!TADiags.diagnostics().empty())
-        std::fprintf(stderr, "%s", TADiags.str().c_str());
-      std::fprintf(stderr, "estimation failed: %s\n",
-                   cancelMessage(Token, "estimation").c_str());
-      return 1;
-    }
-    // Degrade: unfinished procedures fall back to static frequencies and
-    // an unbudgeted incremental rerun completes them; everything the
-    // budgeted run finished is reused bit-identically.
-    std::vector<const Function *> Unfinished = TA.unfinished();
-    for (const Function *F : Unfinished) {
-      Freqs[F] = computeStaticFrequencies(Est->analysis().of(*F)).Freqs;
-      Degraded[F] = Token.describe();
-    }
-    TAOpts.Cancel = nullptr;
-    TA = TimeAnalysis::rerun(Est->analysis(), Freqs, CM, TAOpts, TA,
-                             Unfinished);
-  }
-  if (!TADiags.diagnostics().empty())
-    std::fprintf(stderr, "%s", TADiags.str().c_str());
-
-  int EstimatesRc = printEstimates(Opts, Prog, *Est, Freqs, TA);
-  printDegradeSummary(Degraded);
+  int EstimatesRc = printEstimates(Opts, Prog, *Session, *Res.Analysis);
+  printStaticSummary("quarantined procedures (estimates use static "
+                     "frequencies)",
+                     Session->quarantined());
+  printStaticSummary("degraded procedures (deadline hit; estimates use "
+                     "static frequencies)",
+                     Session->degraded());
   return EstimatesRc != 0 ? EstimatesRc : Rc;
 }
 
@@ -858,9 +678,7 @@ int main(int Argc, char **Argv) {
   if (!Opts.TraceFile.empty() || Opts.Stats)
     Obs = std::make_unique<ObsRegistry>();
 
-  int Rc = Opts.Session
-               ? runSessionPath(Opts, *Prog, CM, Obs.get())
-               : runClassicPath(Opts, *Prog, CM, Diags, Obs.get());
+  int Rc = runEstimation(Opts, *Prog, CM, Obs.get());
 
   // Emit observability output even when the run failed: a trace of a
   // failing run is exactly what one wants to look at.
