@@ -12,12 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Analysis.h"
-#include "durable/StateStore.h"
 #include "obs/Observability.h"
-#include "repl/Replication.h"
-#include "repl/Standby.h"
-#include "serve/Server.h"
-#include "serve/Wire.h"
 #include "session/EstimationSession.h"
 #include "cost/TimeAnalysis.h"
 #include "stream/DeltaStream.h"
@@ -33,14 +28,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <thread>
-
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 using namespace ptran;
 
@@ -587,145 +576,6 @@ void printProfileIngestionTable() {
   std::printf("%s\n", T.str().c_str());
 }
 
-// Durable-state costs: what one write-ahead journal append costs under
-// each fsync policy, and how long recovery (StateStore::open + ServeCore
-// replay) takes as the journal grows — before and after a checkpoint
-// compacts it into a snapshot.
-void printDurableStateTable() {
-  char Template[] = "/tmp/ptran-bench-durable-XXXXXX";
-  if (!::mkdtemp(Template)) {
-    std::printf("=== Durable state: skipped (no scratch dir) ===\n\n");
-    return;
-  }
-  std::string Dir = Template;
-  auto CleanDir = [&Dir] {
-    std::string Cmd = "rm -rf " + Dir;
-    if (std::system(Cmd.c_str()) != 0) {
-    }
-  };
-
-  // A representative epoch-fold record (one function, eight cells).
-  durable::DurableRecord Fold;
-  Fold.Type = durable::RecordType::EpochFold;
-  Fold.Session = "bench";
-  durable::FoldEntry FE;
-  FE.Function = "leaf";
-  for (uint32_t C = 0; C < 8; ++C)
-    FE.Conds.push_back({C, static_cast<uint8_t>(C & 1), 16.0});
-  Fold.Folds.push_back(FE);
-
-  std::printf("=== Durable journal: append cost per fsync policy ===\n");
-  TablePrinter T({"fsync", "appends", "wall [ms]", "us/append"});
-  for (auto [Name, Policy] :
-       {std::pair("never", durable::FsyncPolicy::Never),
-        std::pair("batch", durable::FsyncPolicy::Batch),
-        std::pair("always", durable::FsyncPolicy::Always)}) {
-    constexpr unsigned Appends = 1024;
-    std::string Path = Dir + "/append-bench.ptwj";
-    ::unlink(Path.c_str());
-    std::string Error;
-    durable::DeltaJournal::OpenReport Report;
-    auto J = durable::DeltaJournal::open(Path, Policy, Report, nullptr,
-                                         Error);
-    if (!J)
-      reportFatalError("journal open failed: " + Error);
-    auto Start = std::chrono::steady_clock::now();
-    for (unsigned I = 0; I < Appends; ++I)
-      if (J->append(Fold, Error) == 0)
-        reportFatalError("journal append failed: " + Error);
-    auto End = std::chrono::steady_clock::now();
-    double Secs = std::chrono::duration<double>(End - Start).count();
-    char Wall[32], Per[32];
-    std::snprintf(Wall, sizeof(Wall), "%.2f", Secs * 1e3);
-    std::snprintf(Per, sizeof(Per), "%.2f", Secs / Appends * 1e6);
-    T.addRow({Name, std::to_string(Appends), Wall, Per});
-  }
-  std::printf("%s\n", T.str().c_str());
-
-  // Recovery wall clock vs journal length, and what a checkpoint's
-  // snapshot compaction buys on the next boot.
-  const char *Source = "      program main\n"
-                       "      integer i\n"
-                       "      do 10 i = 1, 8\n"
-                       "        call leaf(i)\n"
-                       " 10   continue\n"
-                       "      end\n"
-                       "      subroutine leaf(k)\n"
-                       "      integer k\n"
-                       "      k = k + 1\n"
-                       "      end\n";
-  std::printf("=== Durable recovery: journal replay vs snapshot boot ===\n");
-  TablePrinter R({"fold records", "journal [KB]", "replay boot [ms]",
-                  "snapshot boot [ms]"});
-  for (unsigned Records : {256u, 1024u, 4096u}) {
-    std::string StateDir = Dir + "/recover-" + std::to_string(Records);
-    if (::mkdir(StateDir.c_str(), 0755) != 0)
-      reportFatalError("mkdir failed for " + StateDir);
-    {
-      std::string Error;
-      durable::StateStore::Recovery Recovered;
-      auto Store = durable::StateStore::open(
-          StateDir, durable::FsyncPolicy::Never, Recovered, Error);
-      if (!Store)
-        reportFatalError("state store open failed: " + Error);
-      durable::DurableRecord Create;
-      Create.Type = durable::RecordType::SessionCreate;
-      Create.Session = "bench";
-      Create.Source = Source;
-      Create.Mode = 3; // Smart
-      if (Store->journal().append(Create, Error) == 0)
-        reportFatalError("append failed: " + Error);
-      durable::DurableRecord F = Fold;
-      for (uint32_t C = 0; C < F.Folds[0].Conds.size(); ++C)
-        F.Folds[0].Conds[C].Node = C % 2; // Real condition nodes.
-      for (unsigned I = 0; I < Records; ++I)
-        if (Store->journal().append(F, Error) == 0)
-          reportFatalError("append failed: " + Error);
-    }
-
-    auto BootOnce = [&StateDir](bool Checkpoint) {
-      std::string Error;
-      durable::StateStore::Recovery Recovered;
-      auto Start = std::chrono::steady_clock::now();
-      auto Store = durable::StateStore::open(
-          StateDir, durable::FsyncPolicy::Never, Recovered, Error);
-      if (!Store)
-        reportFatalError("state store open failed: " + Error);
-      serve::ServeOptions Opts;
-      Opts.Store = Store.get();
-      serve::ServeCore Core(Opts);
-      serve::ServeCore::RestoreReport RR;
-      Core.restore(Recovered, RR);
-      auto End = std::chrono::steady_clock::now();
-      if (Core.sessionCount() != 1)
-        reportFatalError("recovery lost the bench session");
-      if (Checkpoint && !Core.checkpoint(Error))
-        reportFatalError("checkpoint failed: " + Error);
-      return std::chrono::duration<double>(End - Start).count();
-    };
-
-    uint64_t JournalBytes = 0;
-    {
-      std::string Error;
-      durable::StateStore::Recovery Recovered;
-      auto Store = durable::StateStore::open(
-          StateDir, durable::FsyncPolicy::Never, Recovered, Error);
-      JournalBytes = Store ? Store->journal().sizeBytes() : 0;
-    }
-    double ReplaySecs = BootOnce(/*Checkpoint=*/true);
-    double SnapshotSecs = BootOnce(/*Checkpoint=*/false);
-
-    char KB[32], Replay[32], Snap[32];
-    std::snprintf(KB, sizeof(KB), "%.1f",
-                  static_cast<double>(JournalBytes) / 1024.0);
-    std::snprintf(Replay, sizeof(Replay), "%.2f", ReplaySecs * 1e3);
-    std::snprintf(Snap, sizeof(Snap), "%.2f", SnapshotSecs * 1e3);
-    R.addRow({std::to_string(Records), KB, Replay, Snap});
-  }
-  std::printf("%s\n", R.str().c_str());
-  CleanDir();
-}
-
 // Streaming counter ingest: N writer threads firehosing deltas into a
 // CounterDeltaStream's sharded atomic cells, a periodic flusher folding
 // each sealed epoch into the session, and 0 / 1 / Q query threads
@@ -809,178 +659,6 @@ void printStreamingIngestTable() {
   std::printf("%s\n", T.str().c_str());
 }
 
-// Replication lag per ack mode: an in-process primary (ServeCore +
-// JournalShipper) connected to a standby (read-only ServeCore +
-// StandbyReplicator) over a socketpair. Each row ships the same burst of
-// epoch-fold mutations and reports the primary-side append wall clock
-// (which under ack=always includes the standby-durability wait baked into
-// every acknowledgement) and the residual catch-up lag after the last
-// append — the window an unacked failover could lose.
-void printReplicationLagTable() {
-  char Template[] = "/tmp/ptran-bench-repl-XXXXXX";
-  if (!::mkdtemp(Template)) {
-    std::printf("=== Replication lag: skipped (no scratch dir) ===\n\n");
-    return;
-  }
-  std::string Dir = Template;
-  auto CleanDir = [&Dir] {
-    std::string Cmd = "rm -rf " + Dir;
-    if (std::system(Cmd.c_str()) != 0) {
-    }
-  };
-
-  const char *Source = "      program main\n"
-                       "      integer i\n"
-                       "      do 10 i = 1, 8\n"
-                       "        call leaf(i)\n"
-                       " 10   continue\n"
-                       "      end\n"
-                       "      subroutine leaf(k)\n"
-                       "      integer k\n"
-                       "      k = k + 1\n"
-                       "      end\n";
-  constexpr unsigned Burst = 512;
-
-  // Accepts shipper subscriptions the way the daemon's accept loop does,
-  // one thread per socketpair connection.
-  struct SubscriptionServer {
-    repl::JournalShipper &Shipper;
-    std::vector<std::thread> Threads;
-    std::mutex Mu;
-    explicit SubscriptionServer(repl::JournalShipper &S) : Shipper(S) {}
-    ~SubscriptionServer() {
-      Shipper.stop();
-      std::lock_guard<std::mutex> L(Mu);
-      for (std::thread &T : Threads)
-        T.join();
-    }
-    int connect(std::string &Error) {
-      int Sv[2];
-      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv) < 0) {
-        Error = "socketpair failed";
-        return -1;
-      }
-      std::lock_guard<std::mutex> L(Mu);
-      Threads.emplace_back([this, Fd = Sv[0]] {
-        serve::WireMessage Sub;
-        std::string Err;
-        if (serve::readFrame(Fd, Sub, Err) == 1 &&
-            Sub.Verb == "repl-subscribe")
-          Shipper.runSubscription(Fd, Sub);
-        ::close(Fd);
-      });
-      return Sv[1];
-    }
-  };
-
-  std::printf("=== Replication lag per ack mode (%u epoch folds, "
-              "socketpair standby) ===\n",
-              Burst);
-  TablePrinter T({"ack", "records", "append wall [ms]", "us/append",
-                  "records/s", "catch-up [ms]"});
-  for (repl::AckMode Ack :
-       {repl::AckMode::None, repl::AckMode::Batch, repl::AckMode::Always}) {
-    std::string PDir = Dir + "/p-" + repl::ackModeName(Ack);
-    std::string SDir = Dir + "/s-" + repl::ackModeName(Ack);
-    if (::mkdir(PDir.c_str(), 0755) != 0 ||
-        ::mkdir(SDir.c_str(), 0755) != 0)
-      reportFatalError("mkdir failed for replication bench");
-    std::string Error;
-    durable::StateStore::Recovery RecP, RecS;
-    auto StoreP =
-        durable::StateStore::open(PDir, durable::FsyncPolicy::Never, RecP,
-                                  Error);
-    auto StoreS =
-        durable::StateStore::open(SDir, durable::FsyncPolicy::Never, RecS,
-                                  Error);
-    if (!StoreP || !StoreS)
-      reportFatalError("state store open failed: " + Error);
-
-    repl::JournalShipper::Options ShipOpts;
-    ShipOpts.Store = StoreP.get();
-    ShipOpts.Ack = Ack;
-    repl::JournalShipper Shipper(ShipOpts);
-    SubscriptionServer Server(Shipper);
-
-    serve::ServeOptions POpts;
-    POpts.Store = StoreP.get();
-    POpts.Repl = &Shipper;
-    serve::ServeCore Primary(POpts);
-    Shipper.setCore(&Primary);
-
-    serve::ServeOptions SOpts;
-    SOpts.Store = StoreS.get();
-    serve::ServeCore Standby(SOpts);
-
-    repl::StandbyReplicator::Options StandOpts;
-    StandOpts.Core = &Standby;
-    StandOpts.Store = StoreS.get();
-    StandOpts.Ack = Ack;
-    StandOpts.Backoff = RetryPolicy().retries(1u << 30).baseDelay(
-        std::chrono::milliseconds(1));
-    StandOpts.Connect = [&Server](std::string &Err) {
-      return Server.connect(Err);
-    };
-    repl::StandbyReplicator Replica(StandOpts);
-    if (!Replica.start(Error))
-      reportFatalError("standby start failed: " + Error);
-
-    serve::WireMessage Load;
-    Load.Verb = "load-program";
-    Load.Params["session"] = "bench";
-    Load.Body = Source;
-    if (Primary.handle(Load).Verb != "ok")
-      reportFatalError("load-program failed in replication bench");
-    if (Primary.handle([&] {
-                 serve::WireMessage R;
-                 R.Verb = "run";
-                 R.Params["session"] = "bench";
-                 return R;
-               }())
-            .Verb != "ok")
-      reportFatalError("run failed in replication bench");
-
-    // One 16-byte delta record against cell (0, 0), flushed per request so
-    // every iteration journals (and ships) exactly one EpochFold.
-    serve::WireMessage Fold;
-    Fold.Verb = "stream-deltas";
-    Fold.Params["session"] = "bench";
-    Fold.Params["flush"] = "1";
-    uint64_t Bits;
-    double Delta = 1.0;
-    std::memcpy(&Bits, &Delta, sizeof(Bits));
-    Fold.Body.assign(8, '\0'); // FuncIdx = 0, CondIdx = 0.
-    for (int I = 0; I < 8; ++I)
-      Fold.Body.push_back(static_cast<char>((Bits >> (8 * I)) & 0xff));
-
-    auto Start = std::chrono::steady_clock::now();
-    for (unsigned I = 0; I < Burst; ++I)
-      if (Primary.handle(Fold).Verb != "ok")
-        reportFatalError("stream-deltas failed in replication bench");
-    auto AppendEnd = std::chrono::steady_clock::now();
-    const uint64_t Target = StoreP->journal().lastLsn();
-    while (Replica.lastAppliedLsn() < Target)
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    auto CaughtUp = std::chrono::steady_clock::now();
-    Replica.stop();
-
-    double AppendSecs =
-        std::chrono::duration<double>(AppendEnd - Start).count();
-    double CatchUpSecs =
-        std::chrono::duration<double>(CaughtUp - AppendEnd).count();
-    char Wall[32], Per[32], Rate[32], Lag[32];
-    std::snprintf(Wall, sizeof(Wall), "%.2f", AppendSecs * 1e3);
-    std::snprintf(Per, sizeof(Per), "%.2f", AppendSecs / Burst * 1e6);
-    std::snprintf(Rate, sizeof(Rate), "%.0f", Burst / AppendSecs);
-    std::snprintf(Lag, sizeof(Lag), "%.2f", CatchUpSecs * 1e3);
-    T.addRow({repl::ackModeName(Ack),
-              std::to_string(static_cast<unsigned long long>(Target)), Wall,
-              Per, Rate, Lag});
-  }
-  std::printf("%s\n", T.str().c_str());
-  CleanDir();
-}
-
 void printStaticScalingTable() {
   std::printf("=== Ablation A2: representation sizes vs program size ===\n");
   TablePrinter T({"units", "stmts", "ecfg nodes", "fcdg edges",
@@ -1009,8 +687,6 @@ int main(int Argc, char **Argv) {
   printCancellationOverheadTable();
   printProfileIngestionTable();
   printStreamingIngestTable();
-  printDurableStateTable();
-  printReplicationLagTable();
   benchmark::Initialize(&Argc, Argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

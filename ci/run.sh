@@ -10,6 +10,7 @@
 #   ci/run.sh tsan       # just the -DPTRAN_SANITIZE=thread preset
 #   ci/run.sh ubsan      # just the -DPTRAN_SANITIZE=undefined preset
 #   ci/run.sh asan       # just the -DPTRAN_SANITIZE=address preset
+#   ci/run.sh bench      # benchmark smoke (not part of "all")
 #
 # Each preset builds into its own directory (build-ci-*), so a CI run
 # never disturbs a developer's ./build tree, and the sanitizer trees run
@@ -33,6 +34,12 @@
 # validator on garbled replication input. Under asan the whole suite runs
 # with AddressSanitizer (plus UBSan) instrumentation, so any out-of-bounds
 # access, use-after-free or leak fails the test that triggers it.
+#
+# The bench preset builds the perfbench harness from this checkout and
+# runs every workload BENCHMARK.json declares once, for a few seconds,
+# untraced. It fails when the harness does not build or a run's final
+# JSON line does not say "correct": true; the numbers are only reported,
+# so a refactor that breaks an API the harness calls shows up in CI.
 #
 #===----------------------------------------------------------------------===#
 
@@ -64,12 +71,27 @@ run_preset() {
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
 }
 
+run_bench() {
+  local workloads w out
+  workloads="$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+  for w in ${workloads}; do
+    echo "=== bench: ${w} ==="
+    out="$(python3 perfbench/run.py --workload "${w}" --seed 1 --seconds 3 --trace 0)"
+    printf '%s\n' "${out}"
+    if ! printf '%s\n' "${out}" | tail -n 1 | python3 -c 'import json, sys; sys.exit(json.loads(sys.stdin.read()).get("correct") is not True)'; then
+      echo "bench: ${w} did not report \"correct\": true" >&2
+      exit 1
+    fi
+  done
+}
+
 what="${1:-all}"
 case "${what}" in
 tier1) run_preset tier1 "" ;;
 tsan) run_preset tsan thread ;;
 ubsan) run_preset ubsan undefined ;;
 asan) run_preset asan address ;;
+bench) run_bench ;;
 all)
   run_preset tier1 ""
   run_preset tsan thread
@@ -77,7 +99,7 @@ all)
   run_preset asan address
   ;;
 *)
-  echo "usage: ci/run.sh [tier1|tsan|ubsan|asan|all]" >&2
+  echo "usage: ci/run.sh [tier1|tsan|ubsan|asan|bench|all]" >&2
   exit 2
   ;;
 esac

@@ -6,15 +6,13 @@
 
 #include "durable/Journal.h"
 
-#include "profile/ProfileFile.h"
 #include "support/FaultInjection.h"
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
+#include <iterator>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace ptran;
@@ -26,117 +24,54 @@ constexpr uint32_t JournalMagic = 0x4A575450; // "PTWJ" little-endian.
 constexpr uint32_t JournalVersion = 1;
 constexpr size_t HeaderBytes = 16;
 
-std::string errnoString(const char *What, const std::string &Path) {
-  return std::string(What) + " '" + Path + "': " + std::strerror(errno);
-}
-
-uint32_t readU32(const uint8_t *B) {
-  uint32_t V = 0;
-  for (int I = 3; I >= 0; --I)
-    V = (V << 8) | B[I];
-  return V;
-}
-
-uint64_t readU64(const uint8_t *B) {
-  uint64_t V = 0;
-  for (int I = 7; I >= 0; --I)
-    V = (V << 8) | B[I];
-  return V;
-}
-
-void putU32(uint8_t *B, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    B[I] = static_cast<uint8_t>(V >> (8 * I));
-}
-
-void putU64(uint8_t *B, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    B[I] = static_cast<uint8_t>(V >> (8 * I));
-}
-
-/// Positional write loop: retries EINTR and continues short writes (both
-/// genuine and io.short_write-injected ones).
-bool writeAllAt(int Fd, uint64_t Offset, const uint8_t *Data, size_t Size,
-                const std::string &Path, std::string &Error) {
-  while (Size > 0) {
-    size_t Want = FaultInjection::maybeShortWrite(Size);
-    ssize_t N = ::pwrite(Fd, Data, Want, static_cast<off_t>(Offset));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = errnoString("write", Path);
-      return false;
-    }
-    Offset += static_cast<uint64_t>(N);
-    Data += N;
-    Size -= static_cast<size_t>(N);
+struct Header {
+  uint8_t Bytes[HeaderBytes];
+  explicit Header(uint64_t FirstLsn) {
+    storeLE32(Bytes, JournalMagic);
+    storeLE32(Bytes + 4, JournalVersion);
+    storeLE64(Bytes + 8, FirstLsn);
   }
-  return true;
-}
-
-bool readWholeFile(int Fd, std::vector<uint8_t> &Out, const std::string &Path,
-                   std::string &Error) {
-  struct stat St;
-  if (::fstat(Fd, &St) < 0) {
-    Error = errnoString("stat", Path);
-    return false;
-  }
-  Out.resize(static_cast<size_t>(St.st_size));
-  size_t Got = 0;
-  while (Got < Out.size()) {
-    ssize_t N = ::pread(Fd, Out.data() + Got, Out.size() - Got,
-                        static_cast<off_t>(Got));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = errnoString("read", Path);
-      return false;
-    }
-    if (N == 0) {
-      // The file shrank under us; trust what we got.
-      Out.resize(Got);
-      break;
-    }
-    Got += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-bool fsyncDirOf(const std::string &Path, std::string &Error) {
-  size_t Slash = Path.rfind('/');
-  std::string Dir =
-      Slash == std::string::npos ? "." : Path.substr(0, Slash ? Slash : 1);
-  int D = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (D < 0) {
-    Error = errnoString("open directory", Dir);
-    return false;
-  }
-  int Rc;
-  do {
-    Rc = ::fsync(D);
-  } while (Rc < 0 && errno == EINTR);
-  ::close(D);
-  if (Rc < 0) {
-    Error = errnoString("fsync directory", Dir);
-    return false;
-  }
-  return true;
-}
+};
 
 /// Moves \p Bytes aside to `<path>.quarantine` (overwriting a previous
 /// quarantine — the newest torn tail is the interesting one). Best-effort:
 /// quarantine is for post-mortems, recovery proceeds regardless.
 void quarantineBytes(const std::string &JournalPath, const uint8_t *Bytes,
                      size_t Len) {
-  std::string QPath = JournalPath + ".quarantine";
-  int Fd = ::open(QPath.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-                  0644);
-  if (Fd < 0)
-    return;
   std::string Ignored;
-  writeAllAt(Fd, 0, Bytes, Len, QPath, Ignored);
-  ::fsync(Fd);
-  ::close(Fd);
+  writeFileAtomically(JournalPath + ".quarantine", Bytes, Len, Ignored);
+}
+
+/// Validates the frame at \p Data, \p Left bytes before the end of the
+/// input: framing, CRC and record decode. Returns the frame's size with
+/// \p R decoded, or 0 with \p Reason saying what is wrong.
+size_t scanFrame(const uint8_t *Data, size_t Left, DurableRecord &R,
+                 std::string &Reason) {
+  if (Left < 8) {
+    Reason = "incomplete frame header (" + std::to_string(Left) +
+             " of 8 bytes)";
+    return 0;
+  }
+  uint32_t Len = loadLE32(Data);
+  if (Len > MaxRecordBytes) {
+    Reason = "frame length " + std::to_string(Len) + " is implausible";
+    return 0;
+  }
+  if (Left - 8 < Len) {
+    Reason = "frame body truncated (" + std::to_string(Left - 8) + " of " +
+             std::to_string(Len) + " bytes)";
+    return 0;
+  }
+  if (crc32(Data + 8, Len) != loadLE32(Data + 4)) {
+    Reason = "frame checksum mismatch";
+    return 0;
+  }
+  std::string DecodeError;
+  if (!decodeRecord(Data + 8, Len, R, DecodeError)) {
+    Reason = "frame decodes to garbage: " + DecodeError;
+    return 0;
+  }
+  return 8 + Len;
 }
 
 } // namespace
@@ -162,19 +97,16 @@ DeltaJournal::open(const std::string &Path, FsyncPolicy Fsync,
   J->Fd = Fd;
 
   std::vector<uint8_t> Bytes;
-  if (!readWholeFile(Fd, Bytes, Path, Error))
+  if (!readWholeFile(Fd, Path, Bytes, Error))
     return nullptr;
 
   auto WriteFreshHeader = [&](uint64_t FirstLsn) -> bool {
-    uint8_t H[HeaderBytes];
-    putU32(H, JournalMagic);
-    putU32(H + 4, JournalVersion);
-    putU64(H + 8, FirstLsn);
+    Header H(FirstLsn);
     if (::ftruncate(Fd, 0) < 0) {
       Error = errnoString("truncate", Path);
       return false;
     }
-    if (!writeAllAt(Fd, 0, H, sizeof(H), Path, Error))
+    if (!writeAll(Fd, 0, H.Bytes, HeaderBytes, Path, Error))
       return false;
     ::fsync(Fd);
     return true;
@@ -189,8 +121,8 @@ DeltaJournal::open(const std::string &Path, FsyncPolicy Fsync,
     return J;
   }
 
-  if (Bytes.size() < HeaderBytes || readU32(Bytes.data()) != JournalMagic ||
-      readU32(Bytes.data() + 4) != JournalVersion) {
+  if (Bytes.size() < HeaderBytes || loadLE32(Bytes.data()) != JournalMagic ||
+      loadLE32(Bytes.data() + 4) != JournalVersion) {
     // A torn or foreign header: nothing after it can be framed. Quarantine
     // the whole file and start a fresh log — rotation fsyncs replacement
     // headers before renaming them into place, so this can only be the
@@ -208,46 +140,23 @@ DeltaJournal::open(const std::string &Path, FsyncPolicy Fsync,
     return J;
   }
 
-  J->FirstLsn = readU64(Bytes.data() + 8);
+  J->FirstLsn = loadLE64(Bytes.data() + 8);
   if (J->FirstLsn == 0)
     J->FirstLsn = 1;
   uint64_t Lsn = J->FirstLsn;
   size_t Off = HeaderBytes;
   std::string TornReason;
   while (Off < Bytes.size()) {
-    size_t Left = Bytes.size() - Off;
-    if (Left < 8) {
-      TornReason = "incomplete frame header (" + std::to_string(Left) +
-                   " of 8 bytes)";
-      break;
-    }
-    uint32_t Len = readU32(Bytes.data() + Off);
-    uint32_t Crc = readU32(Bytes.data() + Off + 4);
-    if (Len > MaxRecordBytes) {
-      TornReason = "frame length " + std::to_string(Len) + " is implausible";
-      break;
-    }
-    if (Left - 8 < Len) {
-      TornReason = "frame body truncated (" + std::to_string(Left - 8) +
-                   " of " + std::to_string(Len) + " bytes)";
-      break;
-    }
-    const uint8_t *Body = Bytes.data() + Off + 8;
-    if (crc32(Body, Len) != Crc) {
-      TornReason = "frame checksum mismatch";
-      break;
-    }
     DurableRecord R;
-    std::string DecodeError;
-    if (!decodeRecord(Body, Len, R, DecodeError)) {
-      TornReason = "frame decodes to garbage: " + DecodeError;
+    size_t FrameBytes =
+        scanFrame(Bytes.data() + Off, Bytes.size() - Off, R, TornReason);
+    if (!FrameBytes)
       break;
-    }
     R.Lsn = Lsn++;
     if (Records)
       Records->push_back(std::move(R));
     ++Report.RecordsScanned;
-    Off += 8 + Len;
+    Off += FrameBytes;
   }
 
   if (Off < Bytes.size()) {
@@ -272,10 +181,12 @@ DeltaJournal::open(const std::string &Path, FsyncPolicy Fsync,
 
 uint64_t DeltaJournal::append(const DurableRecord &R, std::string &Error) {
   std::vector<uint8_t> Body = encodeRecord(R);
-  std::vector<uint8_t> Frame(8 + Body.size());
-  putU32(Frame.data(), static_cast<uint32_t>(Body.size()));
-  putU32(Frame.data() + 4, crc32(Body.data(), Body.size()));
-  std::memcpy(Frame.data() + 8, Body.data(), Body.size());
+  std::vector<uint8_t> Frame;
+  Frame.reserve(8 + Body.size());
+  ByteWriter W(Frame);
+  W.putU32(static_cast<uint32_t>(Body.size()));
+  W.putU32(crc32(Body.data(), Body.size()));
+  W.putBytes(Body.data(), Body.size());
 
   std::lock_guard<std::mutex> L(M);
   if (FaultInjection::maybeTornWrite()) {
@@ -284,11 +195,11 @@ uint64_t DeltaJournal::append(const DurableRecord &R, std::string &Error) {
     // then die without any cleanup.
     size_t Prefix = std::max<size_t>(1, Frame.size() / 2);
     std::string Ignored;
-    writeAllAt(Fd, FileBytes, Frame.data(), Prefix, Path, Ignored);
+    writeAll(Fd, FileBytes, Frame.data(), Prefix, Path, Ignored);
     ::fsync(Fd);
     FaultInjection::dieAtCrashPoint();
   }
-  if (!writeAllAt(Fd, FileBytes, Frame.data(), Frame.size(), Path, Error)) {
+  if (!writeAll(Fd, FileBytes, Frame.data(), Frame.size(), Path, Error)) {
     // Clear any partial frame so the next append starts on a clean
     // boundary instead of burying garbage mid-file.
     ::ftruncate(Fd, static_cast<off_t>(FileBytes));
@@ -298,16 +209,9 @@ uint64_t DeltaJournal::append(const DurableRecord &R, std::string &Error) {
     ::fsync(Fd);
     FaultInjection::dieAtCrashPoint();
   }
-  if (Fsync == FsyncPolicy::Always) {
-    int Rc;
-    do {
-      Rc = ::fsync(Fd);
-    } while (Rc < 0 && errno == EINTR);
-    if (Rc < 0) {
-      Error = errnoString("fsync", Path);
-      ::ftruncate(Fd, static_cast<off_t>(FileBytes));
-      return 0;
-    }
+  if (Fsync == FsyncPolicy::Always && !fsyncFile(Fd, Path, Error)) {
+    ::ftruncate(Fd, static_cast<off_t>(FileBytes));
+    return 0;
   }
   FileBytes += Frame.size();
   return NextLsnValue++;
@@ -315,17 +219,7 @@ uint64_t DeltaJournal::append(const DurableRecord &R, std::string &Error) {
 
 bool DeltaJournal::sync(std::string &Error) {
   std::lock_guard<std::mutex> L(M);
-  if (Fsync == FsyncPolicy::Never)
-    return true;
-  int Rc;
-  do {
-    Rc = ::fsync(Fd);
-  } while (Rc < 0 && errno == EINTR);
-  if (Rc < 0) {
-    Error = errnoString("fsync", Path);
-    return false;
-  }
-  return true;
+  return Fsync == FsyncPolicy::Never || fsyncFile(Fd, Path, Error);
 }
 
 DeltaJournal::ReadResult
@@ -358,6 +252,19 @@ DeltaJournal::readFrames(ReadCursor &Cursor, uint64_t MaxBytes,
     }
     return true;
   };
+  // Reads the header of the frame at Off and checks its length against
+  // the committed bytes.
+  auto ReadFrameHeader = [&](uint64_t Off, uint8_t *FH) -> bool {
+    if (!ReadAt(Off, FH, 8))
+      return false;
+    uint32_t Len = loadLE32(FH);
+    if (Len > MaxRecordBytes || Off + 8 + Len > FileBytes) {
+      Error = "journal '" + Path + "' frame at offset " + std::to_string(Off) +
+              " is garbled below the append point";
+      return false;
+    }
+    return true;
+  };
 
   // Revalidate (or rebuild) the cached byte offset of the cursor's frame.
   // A rotation replaces the file, so any offset computed against a
@@ -367,15 +274,9 @@ DeltaJournal::readFrames(ReadCursor &Cursor, uint64_t MaxBytes,
     Off = HeaderBytes;
     for (uint64_t Lsn = FirstLsn; Lsn < Cursor.NextLsn; ++Lsn) {
       uint8_t FH[8];
-      if (!ReadAt(Off, FH, sizeof(FH)))
+      if (!ReadFrameHeader(Off, FH))
         return ReadResult::IoError;
-      uint32_t Len = readU32(FH);
-      if (Len > MaxRecordBytes || Off + 8 + Len > FileBytes) {
-        Error = "journal '" + Path + "' frame at offset " +
-                std::to_string(Off) + " is garbled below the append point";
-        return ReadResult::IoError;
-      }
-      Off += 8 + Len;
+      Off += 8 + loadLE32(FH);
     }
   }
 
@@ -387,21 +288,15 @@ DeltaJournal::readFrames(ReadCursor &Cursor, uint64_t MaxBytes,
       return ReadResult::IoError;
     }
     uint8_t FH[8];
-    if (!ReadAt(Off, FH, sizeof(FH)))
+    if (!ReadFrameHeader(Off, FH))
       return ReadResult::IoError;
-    uint32_t Len = readU32(FH);
-    uint32_t Crc = readU32(FH + 4);
-    if (Len > MaxRecordBytes || Off + 8 + Len > FileBytes) {
-      Error = "journal '" + Path + "' frame at offset " + std::to_string(Off) +
-              " is garbled below the append point";
-      return ReadResult::IoError;
-    }
+    uint32_t Len = loadLE32(FH);
     Body.resize(Len);
     if (Len > 0 && !ReadAt(Off + 8, Body.data(), Len))
       return ReadResult::IoError;
     // Never ship a frame whose bytes no longer match their checksum: local
     // corruption must surface here, not on the standby.
-    if (crc32(Body.data(), Len) != Crc) {
+    if (crc32(Body.data(), Len) != loadLE32(FH + 4)) {
       Error = "journal '" + Path + "' frame at offset " + std::to_string(Off) +
               " fails its checksum";
       return ReadResult::IoError;
@@ -431,88 +326,45 @@ bool DeltaJournal::appendRaw(const uint8_t *Frames, size_t Len,
   }
   // Validate every frame BEFORE writing a byte: a garbled shipped batch
   // must not bury garbage mid-file.
-  size_t FirstRecord = Records ? Records->size() : 0;
-  uint64_t Lsn = ExpectedFirstLsn;
-  uint32_t Seen = 0;
+  std::vector<DurableRecord> Batch;
   size_t Off = 0;
   while (Off < Len) {
-    if (Len - Off < 8) {
-      Error = "replicated batch has a torn frame header (" +
-              std::to_string(Len - Off) + " of 8 bytes)";
-      if (Records)
-        Records->resize(FirstRecord);
-      return false;
-    }
-    uint32_t BodyLen = readU32(Frames + Off);
-    uint32_t Crc = readU32(Frames + Off + 4);
-    if (BodyLen > MaxRecordBytes || Len - Off - 8 < BodyLen) {
-      Error = "replicated batch frame at offset " + std::to_string(Off) +
-              " overruns the batch (" + std::to_string(BodyLen) + " bytes)";
-      if (Records)
-        Records->resize(FirstRecord);
-      return false;
-    }
-    const uint8_t *Body = Frames + Off + 8;
-    if (crc32(Body, BodyLen) != Crc) {
-      Error = "replicated batch frame at offset " + std::to_string(Off) +
-              " fails its checksum";
-      if (Records)
-        Records->resize(FirstRecord);
-      return false;
-    }
     DurableRecord R;
-    std::string DecodeError;
-    if (!decodeRecord(Body, BodyLen, R, DecodeError)) {
+    std::string Reason;
+    size_t FrameBytes = scanFrame(Frames + Off, Len - Off, R, Reason);
+    if (!FrameBytes) {
       Error = "replicated batch frame at offset " + std::to_string(Off) +
-              " decodes to garbage: " + DecodeError;
-      if (Records)
-        Records->resize(FirstRecord);
+              ": " + Reason;
       return false;
     }
-    R.Lsn = Lsn++;
-    if (Records)
-      Records->push_back(std::move(R));
-    Off += 8 + BodyLen;
-    ++Seen;
+    R.Lsn = ExpectedFirstLsn + Batch.size();
+    Batch.push_back(std::move(R));
+    Off += FrameBytes;
   }
-  if (Seen != ExpectedCount) {
-    Error = "replicated batch carries " + std::to_string(Seen) +
+  if (Batch.size() != ExpectedCount) {
+    Error = "replicated batch carries " + std::to_string(Batch.size()) +
             " frame(s) but announced " + std::to_string(ExpectedCount);
-    if (Records)
-      Records->resize(FirstRecord);
     return false;
   }
-  if (Seen == 0)
+  if (Batch.empty())
     return true;
 
   if (FaultInjection::maybeTornWrite()) {
     size_t Prefix = std::max<size_t>(1, Len / 2);
     std::string Ignored;
-    writeAllAt(Fd, FileBytes, Frames, Prefix, Path, Ignored);
+    writeAll(Fd, FileBytes, Frames, Prefix, Path, Ignored);
     ::fsync(Fd);
     FaultInjection::dieAtCrashPoint();
   }
-  if (!writeAllAt(Fd, FileBytes, Frames, Len, Path, Error)) {
+  if (!writeAll(Fd, FileBytes, Frames, Len, Path, Error) ||
+      (Fsync == FsyncPolicy::Always && !fsyncFile(Fd, Path, Error))) {
     ::ftruncate(Fd, static_cast<off_t>(FileBytes));
-    if (Records)
-      Records->resize(FirstRecord);
     return false;
   }
-  if (Fsync == FsyncPolicy::Always) {
-    int Rc;
-    do {
-      Rc = ::fsync(Fd);
-    } while (Rc < 0 && errno == EINTR);
-    if (Rc < 0) {
-      Error = errnoString("fsync", Path);
-      ::ftruncate(Fd, static_cast<off_t>(FileBytes));
-      if (Records)
-        Records->resize(FirstRecord);
-      return false;
-    }
-  }
   FileBytes += Len;
-  NextLsnValue += Seen;
+  NextLsnValue += Batch.size();
+  if (Records)
+    std::move(Batch.begin(), Batch.end(), std::back_inserter(*Records));
   return true;
 }
 
@@ -527,43 +379,12 @@ bool DeltaJournal::resetTo(uint64_t FirstLsn, std::string &Error) {
 }
 
 bool DeltaJournal::rotateToLocked(uint64_t NewFirstLsn, std::string &Error) {
-  std::string NewPath = Path + ".new";
-  int NewFd =
-      ::open(NewPath.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-  if (NewFd < 0) {
-    Error = errnoString("open", NewPath);
-    return false;
-  }
-  uint8_t H[HeaderBytes];
-  putU32(H, JournalMagic);
-  putU32(H + 4, JournalVersion);
-  putU64(H + 8, NewFirstLsn);
-  if (!writeAllAt(NewFd, 0, H, sizeof(H), NewPath, Error)) {
-    ::close(NewFd);
-    ::unlink(NewPath.c_str());
-    return false;
-  }
-  // The replacement must be durable BEFORE it replaces the journal: a
-  // crash after the rename may otherwise leave a journal whose header was
-  // never written, losing the LSN chain.
-  int Rc;
-  do {
-    Rc = ::fsync(NewFd);
-  } while (Rc < 0 && errno == EINTR);
-  ::close(NewFd);
-  if (Rc < 0) {
-    Error = errnoString("fsync", NewPath);
-    ::unlink(NewPath.c_str());
-    return false;
-  }
-  if (FaultInjection::maybeCrashAt("durable.truncate"))
-    FaultInjection::dieAtCrashPoint();
-  if (::rename(NewPath.c_str(), Path.c_str()) < 0) {
-    Error = errnoString("rename", NewPath);
-    ::unlink(NewPath.c_str());
-    return false;
-  }
-  if (!fsyncDirOf(Path, Error))
+  // The replacement is durable BEFORE it replaces the journal: a crash
+  // after the rename must never leave a journal whose header was not
+  // written, losing the LSN chain.
+  Header H(NewFirstLsn);
+  if (!writeFileAtomically(Path, H.Bytes, HeaderBytes, Error,
+                           "durable.truncate"))
     return false;
   // Our fd still names the old inode; adopt the replacement.
   int ReFd = ::open(Path.c_str(), O_RDWR | O_CLOEXEC);

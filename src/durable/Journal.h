@@ -8,7 +8,9 @@
 /// The append-only write-ahead half of the daemon's durable state: every
 /// mutation is encoded (durable/Records.h) and appended as one CRC-framed
 /// record BEFORE the response leaves the daemon, so a crash loses at most
-/// the in-flight request. File layout (all integers little-endian):
+/// the in-flight request. File layout (all integers little-endian; the
+/// byte codec, CRC32 and the write/fsync/rename helpers are
+/// support/Bytes.h's, shared with the PTPF, PTSS and wire formats):
 ///
 ///   magic "PTWJ" | u32 version | u64 firstLsn            (16-byte header)
 ///   | per record: u32 bodyLen | u32 crc32(body) | body
@@ -102,7 +104,8 @@ public:
   bool sync(std::string &Error);
 
   /// Replaces the journal with an empty one whose firstLsn is nextLsn(),
-  /// atomically (write `<path>.new`, fsync, rename, fsync directory).
+  /// atomically (writeFileAtomically: `<path>.tmp`, fsync, rename, fsync
+  /// directory).
   /// The caller must already have snapshotted every session with a
   /// watermark covering lastLsn() — rotation forgets those records.
   bool rotate(std::string &Error);

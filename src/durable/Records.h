@@ -11,22 +11,24 @@
 /// prefix extends) reconstructs the daemon's sessions bit-for-bit.
 ///
 /// A record travels as one journal frame (see Journal.h): the encoded
-/// body's first byte is the RecordType tag, the rest is the little-endian
-/// payload below. Strings are u32 length + bytes; doubles are the IEEE 754
-/// bit pattern as a u64.
+/// body's first byte is the RecordType tag, the rest is the payload below,
+/// written with support/Bytes.h's ByteWriter (little-endian integers,
+/// strings as u32 length + bytes, doubles as their IEEE 754 bit pattern).
 ///
 ///   SessionCreate  str name | str source | u32 mode | u32 loopVariance
 ///                  | u32 onBadProfile
 ///   SessionEvict   str name
 ///   RunExec        str name | u32 count
-///   EpochFold      str name | u32 numFuncs
-///                  | per func: str function | u32 numConds
-///                    | per cond: u32 node | u8 label | f64 total
-///                  | u32 numClamped | str clamped names...
+///   EpochFold      str name | folds | u32 numClamped | str names...
 ///   ProfileIngest  str name | u64 imageLen | PTPF bytes
 ///   SaturationMark str name | str function
 ///
-/// Decoding is defensive end to end: every length is bounds-checked
+/// `folds` (encodeFolds, shared with the PTSS snapshot's external totals):
+///
+///   u32 numFuncs | per func: str function | u32 numConds
+///                  | per cond: u32 node | u8 label | f64 total
+///
+/// Decoding is defensive end to end: ByteReader bounds-checks every length
 /// against the remaining bytes before it is used, so a corrupted frame
 /// that somehow passed its CRC still yields a clean error, never a wild
 /// read. (The journal-prefix property test drives every truncation point
@@ -36,6 +38,8 @@
 
 #ifndef PTRAN_DURABLE_RECORDS_H
 #define PTRAN_DURABLE_RECORDS_H
+
+#include "support/Bytes.h"
 
 #include <cstdint>
 #include <string>
@@ -100,6 +104,12 @@ struct DurableRecord {
   // SaturationMark: the function whose totals saturated.
   std::string FunctionName;
 };
+
+/// Writes \p Folds in the `folds` layout above.
+void encodeFolds(ByteWriter &W, const std::vector<FoldEntry> &Folds);
+
+/// Reads a `folds` section; check \p Rd.ok() afterwards.
+std::vector<FoldEntry> decodeFolds(ByteReader &Rd);
 
 /// Encodes \p R as a journal frame body (type tag + payload).
 std::vector<uint8_t> encodeRecord(const DurableRecord &R);

@@ -6,16 +6,7 @@
 
 #include "durable/Snapshot.h"
 
-#include "profile/ProfileFile.h"
-#include "support/FaultInjection.h"
-
-#include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 using namespace ptran;
 using namespace ptran::durable;
@@ -25,163 +16,31 @@ namespace {
 constexpr uint32_t SnapshotMagic = 0x53535450; // "PTSS" little-endian.
 constexpr uint32_t SnapshotVersion = 1;
 
-void putU8(std::vector<uint8_t> &Out, uint8_t V) { Out.push_back(V); }
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putF64(std::vector<uint8_t> &Out, double V) {
-  putU64(Out, std::bit_cast<uint64_t>(V));
-}
-
-void putStr(std::vector<uint8_t> &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out.insert(Out.end(), S.begin(), S.end());
-}
-
-/// Same defensive reader shape as durable/Records.cpp: every get latches
-/// Good=false when bytes run out, callers check ok() last.
-class Reader {
-public:
-  Reader(const uint8_t *Data, size_t Len) : Data(Data), Len(Len) {}
-
-  uint8_t getU8() {
-    if (!require(1))
-      return 0;
-    return Data[Pos++];
-  }
-  uint32_t getU32() {
-    if (!require(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 3; I >= 0; --I)
-      V = (V << 8) | Data[Pos + static_cast<size_t>(I)];
-    Pos += 4;
-    return V;
-  }
-  uint64_t getU64() {
-    if (!require(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 7; I >= 0; --I)
-      V = (V << 8) | Data[Pos + static_cast<size_t>(I)];
-    Pos += 8;
-    return V;
-  }
-  double getF64() { return std::bit_cast<double>(getU64()); }
-  std::string getStr() {
-    uint32_t N = getU32();
-    if (!require(N))
-      return {};
-    std::string S(reinterpret_cast<const char *>(Data + Pos), N);
-    Pos += N;
-    return S;
-  }
-  std::vector<uint8_t> getBytes(uint64_t N) {
-    if (!require(N))
-      return {};
-    std::vector<uint8_t> B(Data + Pos, Data + Pos + N);
-    Pos += N;
-    return B;
-  }
-
-  bool ok() const { return Good; }
-  bool atEnd() const { return Pos == Len; }
-  size_t pos() const { return Pos; }
-
-private:
-  bool require(uint64_t N) {
-    if (!Good || N > Len - Pos) {
-      Good = false;
-      return false;
-    }
-    return true;
-  }
-
-  const uint8_t *Data;
-  size_t Len;
-  size_t Pos = 0;
-  bool Good = true;
-};
-
-std::string errnoString(const char *What, const std::string &Path) {
-  return std::string(What) + " '" + Path + "': " + std::strerror(errno);
-}
-
-bool writeAllFd(int Fd, const uint8_t *Data, size_t Size,
-                const std::string &Path, std::string &Error) {
-  while (Size > 0) {
-    size_t Want = FaultInjection::maybeShortWrite(Size);
-    ssize_t N = ::write(Fd, Data, Want);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = errnoString("write", Path);
-      return false;
-    }
-    Data += N;
-    Size -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
-bool fsyncFd(int Fd, const std::string &Path, std::string &Error) {
-  int Rc;
-  do {
-    Rc = ::fsync(Fd);
-  } while (Rc < 0 && errno == EINTR);
-  if (Rc < 0) {
-    Error = errnoString("fsync", Path);
-    return false;
-  }
-  return true;
-}
-
 } // namespace
 
 std::vector<uint8_t> durable::encodeSnapshot(const DurableSessionState &State,
                                              uint64_t Watermark) {
   std::vector<uint8_t> Out;
-  putU32(Out, SnapshotMagic);
-  putU32(Out, SnapshotVersion);
-  putU64(Out, Watermark);
-  putStr(Out, State.Name);
-  putStr(Out, State.Source);
-  putU32(Out, State.Mode);
-  putU32(Out, State.LoopVariance);
-  putU32(Out, State.OnBadProfile);
-  putU64(Out, State.Runs);
-  putU64(Out, State.ProfileImage.size());
-  Out.insert(Out.end(), State.ProfileImage.begin(), State.ProfileImage.end());
-  putU32(Out, static_cast<uint32_t>(State.External.size()));
-  for (const FoldEntry &FE : State.External) {
-    putStr(Out, FE.Function);
-    putU32(Out, static_cast<uint32_t>(FE.Conds.size()));
-    for (const CondTotal &C : FE.Conds) {
-      putU32(Out, C.Node);
-      putU8(Out, C.Label);
-      putF64(Out, C.Total);
-    }
-  }
-  putU32(Out, static_cast<uint32_t>(State.Saturated.size()));
-  for (const std::string &Name : State.Saturated)
-    putStr(Out, Name);
-  putU32(Out, static_cast<uint32_t>(State.Quarantined.size()));
+  ByteWriter W(Out);
+  W.putU32(SnapshotMagic);
+  W.putU32(SnapshotVersion);
+  W.putU64(Watermark);
+  W.putStr(State.Name);
+  W.putStr(State.Source);
+  W.putU32(State.Mode);
+  W.putU32(State.LoopVariance);
+  W.putU32(State.OnBadProfile);
+  W.putU64(State.Runs);
+  W.putU64(State.ProfileImage.size());
+  W.putBytes(State.ProfileImage.data(), State.ProfileImage.size());
+  encodeFolds(W, State.External);
+  W.putStrs(State.Saturated);
+  W.putU32(static_cast<uint32_t>(State.Quarantined.size()));
   for (const auto &Q : State.Quarantined) {
-    putStr(Out, Q.first);
-    putStr(Out, Q.second);
+    W.putStr(Q.first);
+    W.putStr(Q.second);
   }
-  // Trailing CRC over every byte above; streamed so a future incremental
-  // writer can checksum section by section without a second pass.
-  uint32_t Crc = crc32End(crc32Update(crc32Begin(), Out.data(), Out.size()));
-  putU32(Out, Crc);
+  W.putU32(crc32(Out.data(), Out.size()));
   return Out;
 }
 
@@ -192,7 +51,7 @@ bool durable::decodeSnapshot(const uint8_t *Data, size_t Len,
     Error = "snapshot is truncated (shorter than its fixed fields)";
     return false;
   }
-  Reader Rd(Data, Len - 4);
+  ByteReader Rd(Data, Len - 4);
   if (Rd.getU32() != SnapshotMagic) {
     Error = "bad snapshot magic (not a PTSS file)";
     return false;
@@ -203,10 +62,7 @@ bool durable::decodeSnapshot(const uint8_t *Data, size_t Len,
   }
   // CRC before content: a torn or bit-rotted snapshot must not be half
   // trusted.
-  uint32_t Stored = 0;
-  for (int I = 3; I >= 0; --I)
-    Stored = (Stored << 8) | Data[Len - 4 + static_cast<size_t>(I)];
-  if (crc32(Data, Len - 4) != Stored) {
+  if (crc32(Data, Len - 4) != loadLE32(Data + Len - 4)) {
     Error = "snapshot checksum mismatch (corrupt or truncated file)";
     return false;
   }
@@ -220,23 +76,8 @@ bool durable::decodeSnapshot(const uint8_t *Data, size_t Len,
   State.OnBadProfile = Rd.getU32();
   State.Runs = Rd.getU64();
   State.ProfileImage = Rd.getBytes(Rd.getU64());
-  uint32_t NumFuncs = Rd.getU32();
-  for (uint32_t I = 0; Rd.ok() && I < NumFuncs; ++I) {
-    FoldEntry FE;
-    FE.Function = Rd.getStr();
-    uint32_t NumConds = Rd.getU32();
-    for (uint32_t J = 0; Rd.ok() && J < NumConds; ++J) {
-      CondTotal C;
-      C.Node = Rd.getU32();
-      C.Label = Rd.getU8();
-      C.Total = Rd.getF64();
-      FE.Conds.push_back(C);
-    }
-    State.External.push_back(std::move(FE));
-  }
-  uint32_t NumSaturated = Rd.getU32();
-  for (uint32_t I = 0; Rd.ok() && I < NumSaturated; ++I)
-    State.Saturated.push_back(Rd.getStr());
+  State.External = decodeFolds(Rd);
+  State.Saturated = Rd.getStrs();
   uint32_t NumQuarantined = Rd.getU32();
   for (uint32_t I = 0; Rd.ok() && I < NumQuarantined; ++I) {
     std::string Fn = Rd.getStr();
@@ -272,72 +113,15 @@ bool durable::writeSnapshotFile(const std::string &Dir,
                                 const DurableSessionState &State,
                                 uint64_t Watermark, std::string &Error) {
   std::vector<uint8_t> Image = encodeSnapshot(State, Watermark);
-  std::string Final = Dir + "/" + snapshotFileName(State.Name);
-  std::string Tmp = Final + ".tmp";
-
-  int Fd = ::open(Tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-                  0644);
-  if (Fd < 0) {
-    Error = errnoString("open", Tmp);
-    return false;
-  }
-  if (!writeAllFd(Fd, Image.data(), Image.size(), Tmp, Error) ||
-      !fsyncFd(Fd, Tmp, Error)) {
-    ::close(Fd);
-    ::unlink(Tmp.c_str());
-    return false;
-  }
-  ::close(Fd);
-  if (FaultInjection::maybeCrashAt("durable.snapshot"))
-    FaultInjection::dieAtCrashPoint();
-  if (::rename(Tmp.c_str(), Final.c_str()) < 0) {
-    Error = errnoString("rename", Tmp);
-    ::unlink(Tmp.c_str());
-    return false;
-  }
-  int D = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (D < 0) {
-    Error = errnoString("open directory", Dir);
-    return false;
-  }
-  bool Ok = fsyncFd(D, Dir, Error);
-  ::close(D);
-  return Ok;
+  return writeFileAtomically(Dir + "/" + snapshotFileName(State.Name),
+                             Image.data(), Image.size(), Error,
+                             "durable.snapshot");
 }
 
 bool durable::readSnapshotFile(const std::string &Path,
                                DurableSessionState &State,
                                uint64_t &Watermark, std::string &Error) {
-  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0) {
-    Error = errnoString("open", Path);
-    return false;
-  }
   std::vector<uint8_t> Bytes;
-  off_t EndOff = ::lseek(Fd, 0, SEEK_END);
-  if (EndOff < 0) {
-    Error = errnoString("seek", Path);
-    ::close(Fd);
-    return false;
-  }
-  Bytes.resize(static_cast<size_t>(EndOff));
-  size_t Got = 0;
-  while (Got < Bytes.size()) {
-    ssize_t N = ::pread(Fd, Bytes.data() + Got, Bytes.size() - Got,
-                        static_cast<off_t>(Got));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = errnoString("read", Path);
-      ::close(Fd);
-      return false;
-    }
-    if (N == 0) {
-      Bytes.resize(Got);
-      break;
-    }
-    Got += static_cast<size_t>(N);
-  }
-  ::close(Fd);
-  return decodeSnapshot(Bytes.data(), Bytes.size(), State, Watermark, Error);
+  return readWholeFile(Path, Bytes, Error) &&
+         decodeSnapshot(Bytes.data(), Bytes.size(), State, Watermark, Error);
 }

@@ -11,17 +11,18 @@
 /// rotates the journal; recovery loads the snapshots and replays only the
 /// journal records with LSN above each session's watermark.
 ///
-/// File layout (all integers little-endian, strings u32 length + bytes):
+/// File layout, written with support/Bytes.h's ByteWriter (little-endian
+/// integers, strings as u32 length + bytes):
 ///
 ///   magic "PTSS" | u32 version | u64 watermark
 ///   | str name | str source | u32 mode | u32 loopVariance
 ///   | u32 onBadProfile | u64 runs
 ///   | u64 profileImageLen | PTPF bytes   (the session's ingested profile
-///                                         state, re-serialized through the
-///                                         checksummed PTPF format)
-///   | u32 numExternalFuncs
-///   | per func: str function | u32 numConds
-///     | per cond: u32 node | u8 label | f64 total
+///                                         state, embedded whole as the
+///                                         checksummed PTPF image)
+///   | folds                              (the external totals, in the
+///                                         EpochFold record's layout:
+///                                         durable::encodeFolds)
 ///   | u32 numSaturated | str names...
 ///   | u32 numQuarantined | per entry: str function | str reason
 ///   | u32 crc32(everything above)
@@ -33,10 +34,11 @@
 /// state against a reference rebuild.
 ///
 /// Files are named `snap-<fnv64(sessionName) hex>.snap` (session names
-/// arrive over the wire and are not safe as filenames) and written
-/// tmp+rename so a crash mid-write leaves the previous snapshot intact.
-/// crash.at=durable.snapshot (support/FaultInjection) dies between writing
-/// the tmp file and renaming it into place.
+/// arrive over the wire and are not safe as filenames) and written with
+/// writeFileAtomically (tmp + rename), so a crash mid-write leaves the
+/// previous snapshot intact. crash.at=durable.snapshot
+/// (support/FaultInjection) dies between writing the tmp file and renaming
+/// it into place.
 ///
 //===----------------------------------------------------------------------===//
 

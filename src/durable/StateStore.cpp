@@ -6,9 +6,10 @@
 
 #include "durable/StateStore.h"
 
+#include "support/Bytes.h"
+
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -18,10 +19,6 @@ using namespace ptran;
 using namespace ptran::durable;
 
 namespace {
-
-std::string errnoString(const char *What, const std::string &Path) {
-  return std::string(What) + " '" + Path + "': " + std::strerror(errno);
-}
 
 bool isSnapshotName(const std::string &Name) {
   return Name.size() > 5 && Name.compare(0, 5, "snap-") == 0 &&

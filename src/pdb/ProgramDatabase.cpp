@@ -3,10 +3,10 @@
 #include "pdb/ProgramDatabase.h"
 
 #include "profile/ProfileFile.h"
+#include "support/Bytes.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 using namespace ptran;
@@ -168,25 +168,27 @@ void ProgramDatabase::merge(const ProgramDatabase &Other,
 
 bool ProgramDatabase::saveToFile(const std::string &Path,
                                  DiagnosticEngine &Diags) const {
-  std::ofstream OS(Path);
-  if (!OS) {
-    Diags.error("cannot open program database file " + Path +
-                " for writing");
+  std::string Text = serialize();
+  std::string Error;
+  if (!writeFileAtomically(Path, reinterpret_cast<const uint8_t *>(Text.data()),
+                           Text.size(), Error)) {
+    Diags.error("cannot save program database: " + Error);
     return false;
   }
-  OS << serialize();
-  return static_cast<bool>(OS);
+  return true;
 }
 
 std::optional<ProgramDatabase>
 ProgramDatabase::loadFromFile(const std::string &Path,
                               DiagnosticEngine &Diags) {
-  std::ifstream IS(Path);
-  if (!IS) {
-    Diags.error("cannot open program database file " + Path);
+  std::vector<uint8_t> Bytes;
+  std::string Error;
+  if (!readWholeFile(Path, Bytes, Error)) {
+    Diags.error("cannot read program database: " + Error);
     return std::nullopt;
   }
-  std::ostringstream Buffer;
-  Buffer << IS.rdbuf();
-  return deserialize(Buffer.str(), Diags);
+  return deserialize(std::string_view(
+                         reinterpret_cast<const char *>(Bytes.data()),
+                         Bytes.size()),
+                     Diags);
 }

@@ -66,6 +66,9 @@ public:
   /// Fingerprint conflicts are reported and those functions skipped.
   void merge(const ProgramDatabase &Other, DiagnosticEngine &Diags);
 
+  /// Writes serialize() to \p Path through writeFileAtomically: a failed
+  /// save (reported on \p Diags, false) leaves the previous database
+  /// intact.
   bool saveToFile(const std::string &Path, DiagnosticEngine &Diags) const;
   static std::optional<ProgramDatabase> loadFromFile(const std::string &Path,
                                                      DiagnosticEngine &Diags);

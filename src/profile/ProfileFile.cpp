@@ -6,35 +6,13 @@
 
 #include "profile/ProfileFile.h"
 
+#include "support/Bytes.h"
 #include "support/FaultInjection.h"
 #include "support/Saturation.h"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
-#include <cstring>
 
 using namespace ptran;
-
-uint32_t ptran::crc32Update(uint32_t State, const uint8_t *Data, size_t Len) {
-  static const auto Table = [] {
-    std::array<uint32_t, 256> T{};
-    for (uint32_t I = 0; I < 256; ++I) {
-      uint32_t C = I;
-      for (int K = 0; K < 8; ++K)
-        C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
-    }
-    return T;
-  }();
-  for (size_t I = 0; I < Len; ++I)
-    State = Table[(State ^ Data[I]) & 0xFFu] ^ (State >> 8);
-  return State;
-}
-
-uint32_t ptran::crc32(const uint8_t *Data, size_t Len) {
-  return crc32End(crc32Update(crc32Begin(), Data, Len));
-}
 
 uint64_t ptran::structuralFingerprintOf(const FunctionAnalysis &FA) {
   // FNV offset basis + golden-ratio mixing; must stay identical to the
@@ -71,90 +49,17 @@ uint64_t ptran::programFingerprintOf(const ProgramAnalysis &PA) {
 
 namespace {
 
-//===--- little-endian byte IO --------------------------------------------===//
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putF64(std::vector<uint8_t> &Out, double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  putU64(Out, Bits);
-}
-
-/// Bounds-checked forward reader over a byte range. Every get*() checks
-/// the remaining length first, so arbitrarily garbled input can only make
-/// ok() false — never an out-of-bounds read.
-struct ByteReader {
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-  bool Failed = false;
-
-  ByteReader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  bool ok() const { return !Failed; }
-  size_t remaining() const { return Failed ? 0 : Size - Pos; }
-
-  uint32_t getU32() {
-    if (remaining() < 4) {
-      Failed = true;
-      return 0;
-    }
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos + I]) << (8 * I);
-    Pos += 4;
-    return V;
-  }
-
-  uint64_t getU64() {
-    if (remaining() < 8) {
-      Failed = true;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos + I]) << (8 * I);
-    Pos += 8;
-    return V;
-  }
-
-  double getF64() {
-    uint64_t Bits = getU64();
-    double V;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
-
-  std::string getString(size_t Len) {
-    if (remaining() < Len) {
-      Failed = true;
-      return {};
-    }
-    std::string S(reinterpret_cast<const char *>(Data + Pos), Len);
-    Pos += Len;
-    return S;
-  }
-};
-
 void serializePayload(std::vector<uint8_t> &Out, const FunctionSection &S) {
-  putU32(Out, static_cast<uint32_t>(S.Counters.size()));
+  ByteWriter W(Out);
+  W.putU32(static_cast<uint32_t>(S.Counters.size()));
   for (double C : S.Counters)
-    putF64(Out, C);
-  putU32(Out, static_cast<uint32_t>(S.Loops.size()));
+    W.putF64(C);
+  W.putU32(static_cast<uint32_t>(S.Loops.size()));
   for (const ProfileLoopMoments &L : S.Loops) {
-    putU32(Out, L.HeaderStmt);
-    putF64(Out, L.Entries);
-    putF64(Out, L.Sum);
-    putF64(Out, L.SumSq);
+    W.putU32(L.HeaderStmt);
+    W.putF64(L.Entries);
+    W.putF64(L.Sum);
+    W.putF64(L.SumSq);
   }
 }
 
@@ -230,28 +135,28 @@ std::vector<uint8_t> ProfileFile::serialize() const {
   HeaderSize += 4; // header CRC
 
   std::vector<uint8_t> Out;
-  putU32(Out, MagicValue);
-  putU32(Out, Version);
-  putU64(Out, ProgramFingerprint);
-  putU32(Out, static_cast<uint32_t>(Mode));
-  putU32(Out, Runs);
-  putU32(Out, static_cast<uint32_t>(Sections.size()));
+  ByteWriter W(Out);
+  W.putU32(MagicValue);
+  W.putU32(Version);
+  W.putU64(ProgramFingerprint);
+  W.putU32(static_cast<uint32_t>(Mode));
+  W.putU32(Runs);
+  W.putU32(static_cast<uint32_t>(Sections.size()));
 
   uint64_t Offset = HeaderSize;
   for (size_t I = 0; I < Sections.size(); ++I) {
     const FunctionSection &S = Sections[I];
-    putU32(Out, static_cast<uint32_t>(S.Name.size()));
-    Out.insert(Out.end(), S.Name.begin(), S.Name.end());
-    putU64(Out, S.Fingerprint);
-    putU64(Out, Offset);
-    putU64(Out, Payloads[I].size());
-    putU32(Out, crc32(Payloads[I].data(), Payloads[I].size()));
+    W.putStr(S.Name);
+    W.putU64(S.Fingerprint);
+    W.putU64(Offset);
+    W.putU64(Payloads[I].size());
+    W.putU32(crc32(Payloads[I].data(), Payloads[I].size()));
     Offset += Payloads[I].size();
   }
-  putU32(Out, crc32(Out.data(), Out.size()));
+  W.putU32(crc32(Out.data(), Out.size()));
 
   for (const std::vector<uint8_t> &P : Payloads)
-    Out.insert(Out.end(), P.begin(), P.end());
+    W.putBytes(P.data(), P.size());
   return Out;
 }
 
@@ -293,9 +198,8 @@ ProfileFile::deserialize(const std::vector<uint8_t> &Bytes,
   std::vector<DirEntry> Dir;
   Dir.reserve(std::min<size_t>(NumFunctions, Bytes.size() / 32));
   for (uint32_t I = 0; I < NumFunctions; ++I) {
-    uint32_t NameLen = R.getU32();
     FunctionSection S;
-    S.Name = R.getString(NameLen);
+    S.Name = R.getStr();
     S.Fingerprint = R.getU64();
     DirEntry E;
     E.Offset = R.getU64();
@@ -309,7 +213,7 @@ ProfileFile::deserialize(const std::vector<uint8_t> &Bytes,
 
   // The header CRC covers every byte read so far; nothing above can be
   // trusted until it checks out.
-  size_t CrcPos = R.Pos;
+  size_t CrcPos = R.pos();
   uint32_t StoredCrc = R.getU32();
   if (!R.ok())
     return HeaderError("truncated header (missing checksum)");
@@ -346,23 +250,16 @@ ProfileFile::deserialize(const std::vector<uint8_t> &Bytes,
 
 namespace {
 
-/// One attempt at writing \p Bytes to \p Path. Every failure mode here is
+/// One attempt at writing \p Bytes to \p Path (atomically: a failure
+/// leaves any previous profile intact). Every failure mode here is
 /// transient by the retry taxonomy (the bytes themselves are fixed);
 /// \p Error receives the message of the failing step.
 bool writeBytesOnce(const std::string &Path, const std::vector<uint8_t> &Bytes,
                     std::string &Error) {
-  if (FaultInjection::maybeFailIo()) {
-    Error = "cannot write profile " + Path + ": injected IO failure";
-    return false;
-  }
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    Error = "cannot open profile " + Path + " for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  if (std::fclose(F) != 0 || Written != Bytes.size()) {
-    Error = "short write while saving profile " + Path;
+  std::string IoError = "injected IO failure";
+  if (FaultInjection::maybeFailIo() ||
+      !writeFileAtomically(Path, Bytes.data(), Bytes.size(), IoError)) {
+    Error = "cannot write profile " + Path + ": " + IoError;
     return false;
   }
   return true;
@@ -372,24 +269,9 @@ bool writeBytesOnce(const std::string &Path, const std::vector<uint8_t> &Bytes,
 /// whether the bytes parse is the caller's (permanent) concern.
 bool readBytesOnce(const std::string &Path, std::vector<uint8_t> &Bytes,
                    std::string &Error) {
-  if (FaultInjection::maybeFailIo()) {
-    Error = "cannot read profile " + Path + ": injected IO failure";
-    return false;
-  }
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    Error = "cannot open profile " + Path;
-    return false;
-  }
-  Bytes.clear();
-  uint8_t Buf[65536];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Bytes.insert(Bytes.end(), Buf, Buf + N);
-  bool ReadOk = std::ferror(F) == 0;
-  std::fclose(F);
-  if (!ReadOk) {
-    Error = "read error while loading profile " + Path;
+  std::string IoError = "injected IO failure";
+  if (FaultInjection::maybeFailIo() || !readWholeFile(Path, Bytes, IoError)) {
+    Error = "cannot read profile " + Path + ": " + IoError;
     return false;
   }
   return true;

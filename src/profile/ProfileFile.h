@@ -7,11 +7,12 @@
 /// \file
 /// A durable, integrity-checked on-disk format for profile data (recovered
 /// counter values plus loop-frequency moments), the persistent half of the
-/// paper's "program database". Layout (all integers little-endian):
+/// paper's "program database". Layout, written with support/Bytes.h's
+/// ByteWriter (little-endian integers; CRC32 from the same module):
 ///
 ///   magic "PTPF" | u32 version | u64 program fingerprint | u32 mode
 ///   | u32 runs | u32 numFunctions
-///   | per function: u32 nameLen | name | u64 fingerprint
+///   | per function: str name (u32 len + bytes) | u64 fingerprint
 ///                   | u64 offset | u64 size | u32 sectionCrc
 ///   | u32 headerCrc            (CRC32 of every byte above)
 ///   | section payloads, contiguous, one per directory entry:
@@ -50,17 +51,6 @@
 #include <vector>
 
 namespace ptran {
-
-/// CRC32 (IEEE 802.3, polynomial 0xEDB88320) of \p Len bytes at \p Data.
-uint32_t crc32(const uint8_t *Data, size_t Len);
-
-/// Streaming form for checksumming data that is produced in pieces (the
-/// durable layer's snapshot writer): seed with crc32Begin(), fold each
-/// buffer through crc32Update, finish with crc32End. crc32() above is
-/// exactly crc32End(crc32Update(crc32Begin(), Data, Len)).
-inline uint32_t crc32Begin() { return 0xFFFFFFFFu; }
-uint32_t crc32Update(uint32_t State, const uint8_t *Data, size_t Len);
-inline uint32_t crc32End(uint32_t State) { return State ^ 0xFFFFFFFFu; }
 
 /// Structural fingerprint of one function: statement count, ECFG size and
 /// the full control-condition list. Profiles recorded against a different

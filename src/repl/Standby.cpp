@@ -6,6 +6,7 @@
 
 #include "repl/Standby.h"
 
+#include "support/Bytes.h"
 #include "support/FaultInjection.h"
 
 #include <cerrno>
@@ -78,8 +79,7 @@ bool StandbyReplicator::start(std::string &Error) {
     if (!O.Store->pruneSnapshotsExcept(None, Error))
       return false;
     if (::unlink(markerPath().c_str()) < 0 && errno != ENOENT) {
-      Error = std::string("cannot clear bootstrap marker: ") +
-              std::strerror(errno);
+      Error = errnoString("cannot clear bootstrap marker");
       return false;
     }
     bump("repl.torn_bootstraps_recovered");

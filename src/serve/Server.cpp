@@ -7,6 +7,7 @@
 #include "serve/Server.h"
 
 #include "parser/Parser.h"
+#include "support/Bytes.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 #include "workloads/Workloads.h"
@@ -592,19 +593,6 @@ WireMessage ServeCore::handleEstimateBatch(const WireMessage &Request) {
 /// index | f64 LE delta.
 static constexpr size_t StreamRecordSize = 16;
 
-static uint32_t readU32LE(const uint8_t *B) {
-  return static_cast<uint32_t>(B[0]) | (static_cast<uint32_t>(B[1]) << 8) |
-         (static_cast<uint32_t>(B[2]) << 16) |
-         (static_cast<uint32_t>(B[3]) << 24);
-}
-
-static double readF64LE(const uint8_t *B) {
-  uint64_t V = 0;
-  for (int I = 7; I >= 0; --I)
-    V = (V << 8) | B[I];
-  return std::bit_cast<double>(V);
-}
-
 WireMessage ServeCore::handleStreamDeltas(const WireMessage &Request) {
   std::shared_ptr<SessionEntry> Entry = findSession(Request.param("session"));
   if (!Entry)
@@ -645,9 +633,9 @@ WireMessage ServeCore::handleStreamDeltas(const WireMessage &Request) {
     const uint8_t *B = reinterpret_cast<const uint8_t *>(Request.Body.data());
     for (size_t Off = 0; Off < Request.Body.size();
          Off += StreamRecordSize) {
-      uint32_t FuncIdx = readU32LE(B + Off);
-      uint32_t CondIdx = readU32LE(B + Off + 4);
-      double Delta = readF64LE(B + Off + 8);
+      uint32_t FuncIdx = loadLE32(B + Off);
+      uint32_t CondIdx = loadLE32(B + Off + 4);
+      double Delta = std::bit_cast<double>(loadLE64(B + Off + 8));
       if (W.add(FuncIdx, CondIdx, Delta))
         ++Appended;
       else

@@ -6,6 +6,8 @@
 
 #include "serve/Wire.h"
 
+#include "support/Bytes.h"
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -20,10 +22,6 @@
 
 using namespace ptran;
 using namespace ptran::serve;
-
-static std::string errnoString(const char *What) {
-  return std::string(What) + ": " + std::strerror(errno);
-}
 
 static bool fillAddress(const std::string &Path, sockaddr_un &Addr,
                         std::string &Error) {
@@ -115,8 +113,8 @@ int serve::connectUnix(const std::string &Path, std::string &Error) {
   return Fd;
 }
 
-static bool writeAll(int Fd, const uint8_t *Data, size_t Size,
-                     std::string &Error) {
+static bool sendAll(int Fd, const uint8_t *Data, size_t Size,
+                    std::string &Error) {
   while (Size > 0) {
     ssize_t N = ::send(Fd, Data, Size, MSG_NOSIGNAL);
     if (N < 0) {
@@ -200,13 +198,10 @@ bool serve::writeFrame(int Fd, const WireMessage &M, std::string &Error) {
   std::optional<std::vector<uint8_t>> Payload = encodeFrame(M, Error);
   if (!Payload)
     return false;
-  uint32_t Len = static_cast<uint32_t>(Payload->size());
-  uint8_t Prefix[4] = {static_cast<uint8_t>(Len),
-                       static_cast<uint8_t>(Len >> 8),
-                       static_cast<uint8_t>(Len >> 16),
-                       static_cast<uint8_t>(Len >> 24)};
-  return writeAll(Fd, Prefix, sizeof(Prefix), Error) &&
-         writeAll(Fd, Payload->data(), Payload->size(), Error);
+  uint8_t Prefix[4];
+  storeLE32(Prefix, static_cast<uint32_t>(Payload->size()));
+  return sendAll(Fd, Prefix, sizeof(Prefix), Error) &&
+         sendAll(Fd, Payload->data(), Payload->size(), Error);
 }
 
 int serve::readFrame(int Fd, WireMessage &M, std::string &Error,
@@ -216,10 +211,7 @@ int serve::readFrame(int Fd, WireMessage &M, std::string &Error,
                    MidFrameTimeoutMs, /*ArmImmediately=*/false);
   if (Rc <= 0)
     return Rc;
-  uint32_t Len = static_cast<uint32_t>(Prefix[0]) |
-                 (static_cast<uint32_t>(Prefix[1]) << 8) |
-                 (static_cast<uint32_t>(Prefix[2]) << 16) |
-                 (static_cast<uint32_t>(Prefix[3]) << 24);
+  uint32_t Len = loadLE32(Prefix);
   if (Len > MaxFramePayload) {
     Error = "frame length " + std::to_string(Len) + " exceeds the " +
             std::to_string(MaxFramePayload) + "-byte limit";

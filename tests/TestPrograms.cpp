@@ -6,7 +6,12 @@
 #include "support/FatalError.h"
 #include "support/StringUtils.h"
 
+#include <csignal>
 #include <string>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace ptran;
 using namespace ptran::testing;
@@ -295,4 +300,22 @@ ptran::testing::makeRandomProgram(uint64_t Seed,
       reportFatalError("random main failed to build:\n" + Diags.str());
   }
   return Prog;
+}
+
+std::optional<bool>
+ptran::testing::runUnderFileSizeLimit(size_t LimitBytes,
+                                      const std::function<bool()> &Body) {
+  pid_t Pid = ::fork();
+  if (Pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit Limit = {LimitBytes, LimitBytes};
+    if (::setrlimit(RLIMIT_FSIZE, &Limit) != 0)
+      ::_exit(2);
+    ::_exit(Body() ? 1 : 0);
+  }
+  int Status = 0;
+  if (Pid < 0 || ::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status) ||
+      WEXITSTATUS(Status) > 1)
+    return std::nullopt;
+  return WEXITSTATUS(Status) == 1;
 }

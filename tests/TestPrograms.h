@@ -18,7 +18,9 @@
 #include "ir/Builder.h"
 #include "support/Rng.h"
 
+#include <functional>
 #include <memory>
+#include <optional>
 
 namespace ptran {
 namespace testing {
@@ -69,6 +71,14 @@ struct RandomProgramConfig {
 /// profiling property tests.
 std::unique_ptr<Program> makeRandomProgram(uint64_t Seed,
                                            const RandomProgramConfig &Config);
+
+/// Runs \p Body in a forked child whose files may not grow past
+/// \p LimitBytes (RLIMIT_FSIZE, with SIGXFSZ ignored so an oversized
+/// write fails with EFBIG instead of killing the child) — a disk filling
+/// up mid-save. Returns what \p Body returned, or nullopt when the child
+/// did not exit normally.
+std::optional<bool> runUnderFileSizeLimit(size_t LimitBytes,
+                                          const std::function<bool()> &Body);
 
 } // namespace testing
 } // namespace ptran

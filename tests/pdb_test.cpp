@@ -169,4 +169,31 @@ TEST(ProgramDatabaseTest, FileRoundTrip) {
           .has_value());
 }
 
+/// A save that hits a full disk (a file-size limit far below the text)
+/// must report failure and leave the previous database intact, so the
+/// runs it accumulated survive.
+TEST(ProgramDatabaseTest, FailedSaveKeepsPreviousDatabase) {
+  PdbFixture Fx;
+  ProgramDatabase Old = Fx.recordOneRun();
+  std::string Path = ::testing::TempDir() + "/ptran_pdb_failed_save.txt";
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(Old.saveToFile(Path, Diags)) << Diags.str();
+
+  ProgramDatabase New = Old;
+  New.merge(Fx.recordOneRun(), Diags);
+  ASSERT_EQ(New.runsRecorded(), 2u);
+  std::optional<bool> Saved = runUnderFileSizeLimit(64, [&] {
+    DiagnosticEngine SaveDiags;
+    return New.saveToFile(Path, SaveDiags);
+  });
+  ASSERT_TRUE(Saved.has_value()) << "save child did not exit normally";
+  EXPECT_FALSE(*Saved) << "a save past the file-size limit must fail";
+
+  auto Loaded = ProgramDatabase::loadFromFile(Path, Diags);
+  ASSERT_TRUE(Loaded.has_value()) << Diags.str();
+  EXPECT_EQ(Loaded->runsRecorded(), 1u);
+  EXPECT_EQ(Loaded->serialize(), Old.serialize());
+  std::remove(Path.c_str());
+}
+
 } // namespace

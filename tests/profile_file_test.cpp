@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestPrograms.h"
+
 #include "cost/Estimator.h"
 #include "parser/Parser.h"
 #include "profile/ProfileFile.h"
@@ -100,6 +102,35 @@ void expectSectionsEqual(const ProfileFile &A, const ProfileFile &B) {
 
 std::string tempPath(const char *Name) {
   return ::testing::TempDir() + Name;
+}
+
+/// A save that hits a full disk (here: a file-size limit far below the
+/// image) must fail and leave the previous profile at the path loadable
+/// and unchanged — never a truncated file whose sections all quarantine.
+TEST(ProfileFile, FailedSaveKeepsPreviousProfile) {
+  std::unique_ptr<Program> Prog = parseDiamond();
+  DiagnosticEngine Diags;
+  std::unique_ptr<Estimator> Est = runEstimator(*Prog, 1, Diags);
+  ProfileFile Old = captureOf(*Est, 1);
+  std::string Path = tempPath("failed_save_keeps_previous.ptpf");
+  ASSERT_TRUE(Old.saveToFile(Path, &Diags)) << Diags.str();
+
+  ASSERT_TRUE(Est->profiledRun().Ok);
+  ProfileFile New = captureOf(*Est, 2);
+  std::optional<bool> Saved = ptran::testing::runUnderFileSizeLimit(64, [&] {
+    DiagnosticEngine SaveDiags;
+    return New.saveToFile(Path, &SaveDiags);
+  });
+  ASSERT_TRUE(Saved.has_value()) << "save child did not exit normally";
+  EXPECT_FALSE(*Saved) << "a save past the file-size limit must fail";
+
+  DiagnosticEngine LoadDiags;
+  std::optional<ProfileFile> Back = ProfileFile::loadFromFile(Path, &LoadDiags);
+  ASSERT_TRUE(Back.has_value()) << LoadDiags.str();
+  EXPECT_TRUE(LoadDiags.diagnostics().empty()) << LoadDiags.str();
+  EXPECT_EQ(Back->runs(), 1u);
+  expectSectionsEqual(Old, *Back);
+  std::remove(Path.c_str());
 }
 
 TEST(ProfileFile, SerializeRoundTrip) {

@@ -20,11 +20,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Wire.h"
+#include "support/Bytes.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <optional>
@@ -255,13 +257,8 @@ std::string streamBodyFromDescribe(const WireMessage &Describe) {
     if (!Conds || *Conds == 0)
       continue;
     uint8_t Rec[16] = {0};
-    Rec[0] = static_cast<uint8_t>(I);
-    Rec[1] = static_cast<uint8_t>(I >> 8);
-    Rec[2] = static_cast<uint8_t>(I >> 16);
-    Rec[3] = static_cast<uint8_t>(I >> 24);
-    // Condition 0; delta = 1.0 (IEEE 754 LE: 0x3FF0000000000000).
-    Rec[14] = 0xF0;
-    Rec[15] = 0x3F;
+    storeLE32(Rec, I); // Condition 0 stays zero.
+    storeLE64(Rec + 8, std::bit_cast<uint64_t>(1.0));
     Body.append(reinterpret_cast<const char *>(Rec), sizeof(Rec));
   }
   return Body;

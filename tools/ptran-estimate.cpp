@@ -500,8 +500,9 @@ void printPlansAndDot(const Options &Opts, const Program &Prog,
 /// Program-database round trip: folds the totals \p Path holds into the
 /// session, then adds this invocation's recovered totals to the database
 /// and saves it. A missing file starts an empty database; an unreadable
-/// one is reported and replaced.
-void roundTripProgramDatabase(const std::string &Path, const Program &Prog,
+/// one is reported and replaced. False when the save fails (the previous
+/// database is then left intact).
+bool roundTripProgramDatabase(const std::string &Path, const Program &Prog,
                               EstimationSession &Session) {
   const Estimator &Est = Session.estimator();
   DiagnosticEngine Diags;
@@ -522,11 +523,13 @@ void roundTripProgramDatabase(const std::string &Path, const Program &Prog,
     Db.accumulateTotals(FA, Est.totalsFor(*F));
   }
   Db.noteRunCompleted();
-  if (!Db.saveToFile(Path, Diags))
+  if (!Db.saveToFile(Path, Diags)) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
-  else
-    std::printf("program database %s now covers %u accumulation(s)\n\n",
-                Path.c_str(), Db.runsRecorded());
+    return false;
+  }
+  std::printf("program database %s now covers %u accumulation(s)\n\n",
+              Path.c_str(), Db.runsRecorded());
+  return true;
 }
 
 /// The whole invocation: one EstimationSession owns the runs, the ingested
@@ -631,8 +634,9 @@ int runEstimation(const Options &Opts, const Program &Prog,
   if (Opts.Check && printFrequencyCheck(Prog, Est) > 0)
     Rc = 1;
 
-  if (!Opts.PdbFile.empty())
-    roundTripProgramDatabase(Opts.PdbFile, Prog, *Session);
+  if (!Opts.PdbFile.empty() &&
+      !roundTripProgramDatabase(Opts.PdbFile, Prog, *Session))
+    Rc = 1;
 
   EstimateResult Res = Session->estimateEntry();
   if (!Diags.diagnostics().empty())
