@@ -35,6 +35,12 @@
 # with AddressSanitizer (plus UBSan) instrumentation, so any out-of-bounds
 # access, use-after-free or leak fails the test that triggers it.
 #
+# Every preset also runs scaling_test, the asymptotic gate: the whole cold
+# pipeline on one 20480-loop procedure under a ctest TIMEOUT that each
+# preset scales by its sanitizer slowdown (30 s plain, 200 s ubsan, 400 s
+# asan, 450 s tsan; tests/CMakeLists.txt). A pass that scans every node
+# once per loop times it out.
+#
 # The bench preset builds the perfbench harness from this checkout and
 # runs every workload BENCHMARK.json declares once, for a few seconds,
 # untraced. It fails when the harness does not build or a run's final

@@ -61,21 +61,25 @@ Digraph buildForwardGraph(const Ecfg &E, const IntervalStructure &IS) {
   // following the loop postdominate the entire body, so it hangs under
   // the enclosing context in the FCDG — exactly Figure 3's shape, where
   // the final CONTINUE is control dependent on START.
+  //
+  // The loops a postexit leaves are those containing its source but not
+  // its destination: a chain from HDR(source) up the header tree that
+  // stops at the first loop containing the destination. One walk per
+  // postexit, O(postexits × depth), fills per-header buckets in postexit
+  // order; emitting the buckets in headers() order keeps the edge order
+  // of a header-by-header scan over all postexits.
+  std::vector<std::vector<NodeId>> Leaving(NumOrig);
+  for (const Ecfg::PostexitInfo &Info : E.postexits())
+    for (NodeId H = IS.hdr(Info.From);
+         H != InvalidNode &&
+         (Info.To == InvalidNode || !IS.contains(H, Info.To));
+         H = IS.hdrParent(H))
+      Leaving[H].push_back(Info.Postexit);
   for (NodeId H : IS.headers()) {
     NodeId It = E.iterateOf(H);
-    bool Any = false;
-    for (const Ecfg::PostexitInfo &Info : E.postexits()) {
-      if (!IS.contains(H, Info.From))
-        continue;
-      bool LeavesH =
-          Info.To == InvalidNode || !IS.contains(H, Info.To);
-      if (!LeavesH)
-        continue;
-      Forward.addEdge(It, Info.Postexit,
-                      static_cast<LabelId>(CfgLabel::Z));
-      Any = true;
-    }
-    if (!Any) // A loop with no way out (the paper assumes termination).
+    for (NodeId Pe : Leaving[H])
+      Forward.addEdge(It, Pe, static_cast<LabelId>(CfgLabel::Z));
+    if (Leaving[H].empty()) // No way out (the paper assumes termination).
       Forward.addEdge(It, E.stop(), static_cast<LabelId>(CfgLabel::Z));
   }
 
@@ -98,8 +102,19 @@ ControlDependence::ControlDependence(const Ecfg &E,
   // FOW over the forward graph: for every edge (A, B, l) where B does not
   // postdominate A, every node on the postdominator-tree path
   // [B .. ipostdom(A)) is control dependent on (A, l). Two same-labelled
-  // edges from one node (only a preheader's pseudo Z edges) may generate
-  // the same dependence; each (A, Y, l) triple is kept once.
+  // edges from one node (a preheader's or an ITERATE node's pseudo Z
+  // edges) may generate the same dependence; each (A, Y, l) triple is kept
+  // once. A single edge's walk never repeats a node, so only walks from
+  // such nodes consult the set of emitted triples.
+  CsrGraph ForwardCsr(ForwardG);
+  std::vector<bool> RepeatsLabel(ForwardG.numNodes(), false);
+  for (NodeId N = 0; N < ForwardG.numNodes(); ++N) {
+    GraphView::Range Out = ForwardCsr.view().succs(N);
+    for (size_t I = 1; I < Out.size() && !RepeatsLabel[N]; ++I)
+      for (size_t J = 0; J < I; ++J)
+        if (Out[I].Label == Out[J].Label)
+          RepeatsLabel[N] = true;
+  }
   std::set<std::tuple<NodeId, NodeId, LabelId>> Emitted;
   Digraph Cdg(ForwardG.numNodes());
   for (EdgeId EId = 0; EId < ForwardG.numEdgeSlots(); ++EId) {
@@ -112,7 +127,8 @@ ControlDependence::ControlDependence(const Ecfg &E,
     for (NodeId Y = Ed.To; Y != Fence; Y = Pdt.idom(Y)) {
       assert(Y != InvalidNode &&
              "walked past the postdominator root; fence must be an ancestor");
-      if (Emitted.insert({Ed.From, Y, Ed.Label}).second)
+      if (!RepeatsLabel[Ed.From] ||
+          Emitted.insert({Ed.From, Y, Ed.Label}).second)
         Cdg.addEdge(Ed.From, Y, Ed.Label);
     }
   }
@@ -163,8 +179,9 @@ ControlDependence::ControlDependence(const Ecfg &E,
   for (unsigned P = 0; P < NumPos; ++P) {
     NodeId U = Arena.Nodes[P];
     Local.clear();
-    for (EdgeId EId : FcdgGraph.outEdges(U)) {
-      CfgLabel L = static_cast<CfgLabel>(FcdgGraph.edge(EId).Label);
+    GraphView::Range Out = FcdgCsr.view().succs(U);
+    for (const CsrEdgeRef &Ed : Out) {
+      CfgLabel L = static_cast<CfgLabel>(Ed.Label);
       auto It = std::find_if(Local.begin(), Local.end(),
                              [&](const LocalGroup &G) {
                                return G.Label == L;
@@ -183,8 +200,7 @@ ControlDependence::ControlDependence(const Ecfg &E,
       ChildCursor += G.Count;
     }
     Arena.Children.resize(ChildCursor);
-    for (EdgeId EId : FcdgGraph.outEdges(U)) {
-      const Digraph::Edge &Ed = FcdgGraph.edge(EId);
+    for (const CsrEdgeRef &Ed : Out) {
       CfgLabel L = static_cast<CfgLabel>(Ed.Label);
       auto It = std::find_if(Local.begin(), Local.end(),
                              [&](const LocalGroup &G) {
@@ -192,25 +208,25 @@ ControlDependence::ControlDependence(const Ecfg &E,
                              });
       assert(It != Local.end());
       unsigned LocalIdx = static_cast<unsigned>(It - Local.begin());
-      unsigned ChildPos = Arena.PosOf[Ed.To];
+      unsigned ChildPos = Arena.PosOf[Ed.Node];
       assert(ChildPos != FlowArena::InvalidPosition &&
              "FCDG edge target must be START-reachable");
       Arena.Children[Fill[LocalIdx]++] = ChildPos;
-      Arena.Raw.push_back({Ed.To, It->Global});
+      Arena.Raw.push_back({Ed.Node, It->Global});
     }
     Arena.GroupBegin[P + 1] = static_cast<uint32_t>(Arena.Groups.size());
     Arena.RawBegin[P + 1] = static_cast<uint32_t>(Arena.Raw.size());
   }
 
   // Enumerate control conditions.
-  std::set<ControlCondition> Seen;
   for (EdgeId EId = 0; EId < FcdgGraph.numEdgeSlots(); ++EId) {
     if (!FcdgGraph.isLive(EId))
       continue;
     const Digraph::Edge &Ed = FcdgGraph.edge(EId);
-    Seen.insert({Ed.From, static_cast<CfgLabel>(Ed.Label)});
+    Conds.push_back({Ed.From, static_cast<CfgLabel>(Ed.Label)});
   }
-  Conds.assign(Seen.begin(), Seen.end());
+  std::sort(Conds.begin(), Conds.end());
+  Conds.erase(std::unique(Conds.begin(), Conds.end()), Conds.end());
 }
 
 std::vector<NodeId> ControlDependence::childrenOf(NodeId U,
@@ -229,8 +245,9 @@ std::string ControlDependence::dot(const Cfg &Ecfg,
   std::ostringstream OS;
   OS << "digraph \"" << Title << "\" {\n";
   OS << "  node [shape=box, fontname=\"monospace\"];\n";
+  NodeNamer Name(Ecfg);
   for (NodeId N : Arena.Nodes) {
-    OS << "  n" << N << " [label=\"" << Ecfg.nodeName(N) << "\"";
+    OS << "  n" << N << " [label=\"" << Name(N) << "\"";
     CfgNodeType Ty = Ecfg.nodeType(N);
     if (Ty != CfgNodeType::Other && Ty != CfgNodeType::Header)
       OS << ", style=dashed";

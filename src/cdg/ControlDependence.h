@@ -29,6 +29,11 @@
 /// linear sweeps over contiguous memory with no per-node allocation. See
 /// DESIGN.md §11 for the layout contract.
 ///
+/// Building the forward graph is linear apart from the ITERATE pseudo
+/// edges, which cost O(postexits × loop depth): each postexit walks up
+/// the header tree from its source's innermost loop, stopping at the
+/// first loop that contains its destination (DESIGN.md §4a).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PTRAN_CDG_CONTROLDEPENDENCE_H

@@ -66,8 +66,15 @@ NodeId Cfg::nodeForStmt(StmtId S) const {
   return InvalidNode;
 }
 
-std::string Cfg::nodeName(NodeId N) const {
-  switch (Types[N]) {
+std::string Cfg::nodeName(NodeId N) const { return NodeNamer(*this)(N); }
+
+NodeNamer::NodeNamer(const Cfg &C) : C(C) {
+  if (C.function())
+    Print.emplace(*C.function());
+}
+
+std::string NodeNamer::operator()(NodeId N) const {
+  switch (C.nodeType(N)) {
   case CfgNodeType::Start:
     return "START";
   case CfgNodeType::Stop:
@@ -83,12 +90,12 @@ std::string Cfg::nodeName(NodeId N) const {
     break;
   }
   std::string Name = "S" + std::to_string(N);
-  if (Func && Origins[N] != InvalidStmt) {
-    const Stmt *S = Func->stmt(Origins[N]);
+  if (Print && C.origin(N) != InvalidStmt) {
+    const Stmt *S = C.function()->stmt(C.origin(N));
     Name += ": ";
     if (S->label() != 0)
       Name += std::to_string(S->label()) + " ";
-    Name += printStmt(*Func, S);
+    Name += (*Print)(S);
   }
   return Name;
 }
@@ -97,8 +104,9 @@ std::string Cfg::dot(std::string_view Title) const {
   std::ostringstream OS;
   OS << "digraph \"" << Title << "\" {\n";
   OS << "  node [shape=box, fontname=\"monospace\"];\n";
+  NodeNamer Name(*this);
   for (NodeId N = 0; N < G.numNodes(); ++N) {
-    OS << "  n" << N << " [label=\"" << nodeName(N) << "\"";
+    OS << "  n" << N << " [label=\"" << Name(N) << "\"";
     if (Types[N] != CfgNodeType::Other && Types[N] != CfgNodeType::Header)
       OS << ", style=dashed";
     if (Types[N] == CfgNodeType::Header)

@@ -18,7 +18,9 @@
 
 #include "graph/Digraph.h"
 #include "ir/Function.h"
+#include "ir/Printer.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -129,6 +131,7 @@ public:
   const Function *function() const { return Func; }
 
   /// Human-readable node description, e.g. "S3: IF (M .GE. 0) GOTO 20".
+  /// Builds a StmtPrinter per call; name many nodes through a NodeNamer.
   std::string nodeName(NodeId N) const;
 
   /// Graphviz rendering (synthesized nodes shown with dashed borders,
@@ -142,6 +145,20 @@ private:
   std::vector<ExitBranch> Exits;
   NodeId Entry = InvalidNode;
   const Function *Func;
+};
+
+/// Names many nodes of one Cfg (the Cfg::nodeName text) with a single
+/// StmtPrinter for the Cfg's function, so naming K nodes costs
+/// O(statements + K).
+class NodeNamer {
+public:
+  explicit NodeNamer(const Cfg &C);
+  std::string operator()(NodeId N) const;
+
+private:
+  const Cfg &C;
+  /// Set when the Cfg has a function.
+  std::optional<StmtPrinter> Print;
 };
 
 /// Builds the statement-level CFG of a finalized function: one node per

@@ -67,6 +67,7 @@ std::string ptran::annotatedListing(const FunctionAnalysis &FA,
                                     const FrequencyTotals &Totals,
                                     const TimeAnalysis &TA) {
   const Function &F = FA.function();
+  StmtPrinter Print(F);
   std::ostringstream OS;
   OS << "      count |       TIME |    STD_DEV | " << F.name() << "\n";
   for (StmtId S = 0; S < F.numStmts(); ++S) {
@@ -85,8 +86,8 @@ std::string ptran::annotatedListing(const FunctionAnalysis &FA,
     OS << Line;
     const Stmt *St = F.stmt(S);
     if (St->label() != 0)
-      OS << printedLabel(F, St->label()) << ' ';
-    OS << printStmt(F, St) << "\n";
+      OS << Print.label(St->label()) << ' ';
+    OS << Print(St) << "\n";
   }
   return OS.str();
 }

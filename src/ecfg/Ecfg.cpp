@@ -10,10 +10,10 @@
 using namespace ptran;
 
 const Ecfg::PostexitInfo *Ecfg::postexitInfo(NodeId Pe) const {
-  for (const PostexitInfo &Info : Postexits)
-    if (Info.Postexit == Pe)
-      return &Info;
-  return nullptr;
+  if (Pe >= PostexitIndexOfNode.size() ||
+      PostexitIndexOfNode[Pe] == NoPostexit)
+    return nullptr;
+  return &Postexits[PostexitIndexOfNode[Pe]];
 }
 
 Ecfg ptran::buildEcfg(const Cfg &C, const IntervalStructure &IS) {
@@ -58,6 +58,9 @@ Ecfg ptran::buildEcfg(const Cfg &C, const IntervalStructure &IS) {
     E.addEdge(From, Pe, Label);
     E.addEdge(Pe, Continuation, CfgLabel::U);
     E.addEdge(PreheaderOf(ExitedHeader), Pe, CfgLabel::Z);
+    Result.PostexitIndexOfNode.resize(E.numNodes(), Ecfg::NoPostexit);
+    Result.PostexitIndexOfNode[Pe] =
+        static_cast<unsigned>(Result.Postexits.size());
     Result.Postexits.push_back({Pe, From, OrigTo, Label, ExitedHeader});
     return Pe;
   };

@@ -87,7 +87,7 @@ public:
   };
   const std::vector<PostexitInfo> &postexits() const { return Postexits; }
 
-  /// \returns the PostexitInfo of node \p Pe, or null.
+  /// \returns the PostexitInfo of node \p Pe, or null. O(1).
   const PostexitInfo *postexitInfo(NodeId Pe) const;
 
   friend Ecfg buildEcfg(const Cfg &C, const IntervalStructure &IS);
@@ -102,6 +102,9 @@ private:
   std::vector<NodeId> IterateOfNode;
   std::vector<NodeId> IterateHeaderOfNode;
   std::vector<PostexitInfo> Postexits;
+  static constexpr unsigned NoPostexit = static_cast<unsigned>(-1);
+  /// Per node: index into Postexits, or NoPostexit.
+  std::vector<unsigned> PostexitIndexOfNode;
 };
 
 /// Builds the ECFG of \p C per the algorithm in Section 2 of the paper.

@@ -23,7 +23,17 @@ const std::vector<NodeId> &IntervalStructure::loopBody(NodeId H) const {
 }
 
 bool IntervalStructure::contains(NodeId H, NodeId N) const {
-  return InBody[loopIndex(H)][N];
+  unsigned I = loopIndex(H);
+  NodeId Inner = Hdr[N];
+  if (Inner == InvalidNode)
+    return false;
+  unsigned J = BodyIndex[Inner];
+  return TreeIn[I] <= TreeIn[J] && TreeIn[J] < TreeIn[I] + TreeSize[I];
+}
+
+std::pair<unsigned, unsigned> IntervalStructure::treeRange(NodeId H) const {
+  unsigned I = loopIndex(H);
+  return {TreeIn[I], TreeIn[I] + TreeSize[I]};
 }
 
 NodeId IntervalStructure::hdrParent(NodeId H) const {
@@ -48,12 +58,7 @@ NodeId IntervalStructure::hdrLca(NodeId A, NodeId B) const {
 
 unsigned IntervalStructure::loopDepth(NodeId N) const {
   NodeId H = Hdr[N];
-  unsigned D = 0;
-  while (H != InvalidNode) {
-    ++D;
-    H = hdrParent(H);
-  }
-  return D;
+  return H == InvalidNode ? 0 : Depth[loopIndex(H)] + 1;
 }
 
 const std::vector<EdgeId> &IntervalStructure::backEdges(NodeId H) const {
@@ -95,20 +100,23 @@ bool IntervalStructure::isExitFreeDoLoop(const Cfg &C, NodeId H) const {
 std::optional<IntervalStructure>
 IntervalStructure::compute(const Cfg &C, DiagnosticEngine &Diags) {
   const Digraph &G = C.graph();
+  unsigned NumNodes = G.numNodes();
   IntervalStructure IS;
-  IS.Hdr.assign(G.numNodes(), InvalidNode);
-  IS.BodyIndex.assign(G.numNodes(), NoLoop);
-  if (G.numNodes() == 0)
+  IS.Hdr.assign(NumNodes, InvalidNode);
+  IS.BodyIndex.assign(NumNodes, NoLoop);
+  if (NumNodes == 0)
     return IS;
 
   NodeId Entry = C.entry();
   assert(Entry != InvalidNode && "CFG has no entry");
   CsrGraph Csr(G);
-  DfsResult Dfs(Csr.view(), Entry);
-  DominatorTree Dom(Csr.view(), Entry);
+  GraphView View = Csr.view();
+  DfsResult Dfs(View, Entry);
+  DominatorTree Dom(View, Entry);
 
-  // Group back edges by header, rejecting irreducible retreating edges.
-  std::map<NodeId, std::vector<EdgeId>> LatchesByHeader;
+  // Back edges, rejecting irreducible retreating edges. Loops are indexed
+  // by ascending header id; each loop's latches stay in EdgeId order.
+  std::vector<EdgeId> BackEdges;
   for (EdgeId E = 0; E < G.numEdgeSlots(); ++E) {
     if (!G.isLive(E) || Dfs.edgeKind(E) != DfsEdgeKind::Retreating)
       continue;
@@ -119,126 +127,120 @@ IntervalStructure::compute(const Cfg &C, DiagnosticEngine &Diags) {
                   " does not target a dominator");
       return std::nullopt;
     }
-    LatchesByHeader[Ed.To].push_back(E);
+    BackEdges.push_back(E);
+    IS.BodyIndex[Ed.To] = 0; // Marks a header; numbered below.
   }
-
-  // Natural loop of each header: backward reachability from the latches
-  // that stays inside the region dominated by the header.
-  for (auto &[Header, LatchEdges] : LatchesByHeader) {
-    std::vector<bool> InThisBody(G.numNodes(), false);
-    InThisBody[Header] = true;
-    std::vector<NodeId> Worklist;
-    for (EdgeId E : LatchEdges) {
-      NodeId Latch = G.edge(E).From;
-      if (!InThisBody[Latch]) {
-        InThisBody[Latch] = true;
-        Worklist.push_back(Latch);
-      }
+  std::vector<NodeId> HeaderOfLoop;
+  for (NodeId N = 0; N < NumNodes; ++N)
+    if (IS.BodyIndex[N] != NoLoop) {
+      IS.BodyIndex[N] = static_cast<unsigned>(HeaderOfLoop.size());
+      HeaderOfLoop.push_back(N);
     }
+  unsigned NumLoops = static_cast<unsigned>(HeaderOfLoop.size());
+  IS.Latches.resize(NumLoops);
+  for (EdgeId E : BackEdges)
+    IS.Latches[IS.BodyIndex[G.edge(E).To]].push_back(E);
+
+  // Inner-first natural loops. A header dominates its whole body, and a
+  // dominator precedes everything it dominates in DFS preorder; so the
+  // loops containing a node form a chain whose innermost header has the
+  // largest preorder number. Walking the loops in decreasing header
+  // preorder, backward from the latches and stopping at the header, the
+  // first walk to reach a node is its innermost loop (HDR), and the first
+  // walk other than H's own to reach header H is HDR_PARENT(H). One stamp
+  // array serves every walk; each walk visits its body once and scans
+  // those nodes' in-edges.
+  std::vector<unsigned> InnerFirst(NumLoops);
+  for (unsigned I = 0; I < NumLoops; ++I)
+    InnerFirst[I] = I;
+  std::sort(InnerFirst.begin(), InnerFirst.end(), [&](unsigned A, unsigned B) {
+    return Dfs.preorder(HeaderOfLoop[A]) > Dfs.preorder(HeaderOfLoop[B]);
+  });
+  IS.Parent.assign(NumLoops, InvalidNode);
+  std::vector<unsigned> Stamp(NumNodes, NoLoop);
+  std::vector<NodeId> Worklist;
+  for (unsigned I : InnerFirst) {
+    NodeId H = HeaderOfLoop[I];
+    Stamp[H] = I;
+    IS.Hdr[H] = H;
+    auto Claim = [&](NodeId N) {
+      if (Stamp[N] == I)
+        return;
+      Stamp[N] = I;
+      Worklist.push_back(N);
+      if (IS.Hdr[N] == InvalidNode)
+        IS.Hdr[N] = H;
+      else if (IS.Hdr[N] == N && IS.Parent[IS.BodyIndex[N]] == InvalidNode)
+        IS.Parent[IS.BodyIndex[N]] = H;
+    };
+    for (EdgeId E : IS.Latches[I])
+      Claim(G.edge(E).From);
     while (!Worklist.empty()) {
       NodeId N = Worklist.back();
       Worklist.pop_back();
-      for (NodeId P : G.predecessors(N)) {
-        if (!Dfs.isReachable(P) || InThisBody[P])
-          continue;
-        InThisBody[P] = true;
-        Worklist.push_back(P);
-      }
+      for (const CsrEdgeRef &P : View.preds(N))
+        if (Dfs.isReachable(P.Node))
+          Claim(P.Node);
     }
-
-    unsigned Index = static_cast<unsigned>(IS.Bodies.size());
-    IS.BodyIndex[Header] = Index;
-    std::vector<NodeId> Body;
-    for (NodeId N = 0; N < G.numNodes(); ++N)
-      if (InThisBody[N])
-        Body.push_back(N);
-    IS.Bodies.push_back(std::move(Body));
-    IS.InBody.push_back(std::move(InThisBody));
-    IS.Latches.push_back(LatchEdges);
   }
 
-  unsigned NumLoops = static_cast<unsigned>(IS.Bodies.size());
-  IS.Parent.assign(NumLoops, InvalidNode);
+  // Depths and header-tree subtree sizes (parents precede children in
+  // preorder, so the reverse walk sees every child before its parent).
   IS.Depth.assign(NumLoops, 0);
-  IS.Entries.resize(NumLoops);
-  IS.ExitsOf.resize(NumLoops);
-  IS.ExitBranchesOf.resize(NumLoops);
-
-  // Headers of loops in this map, for nesting queries.
-  std::vector<NodeId> AllHeaders;
-  for (auto &[Header, LatchEdges] : LatchesByHeader)
-    AllHeaders.push_back(Header);
-
-  // Nesting: loop A properly encloses loop B iff A's body contains B's
-  // header and A != B. The parent is the smallest enclosing body.
-  for (NodeId H : AllHeaders) {
-    unsigned I = IS.BodyIndex[H];
-    NodeId Best = InvalidNode;
-    size_t BestSize = 0;
-    for (NodeId Other : AllHeaders) {
-      if (Other == H)
-        continue;
-      unsigned J = IS.BodyIndex[Other];
-      if (!IS.InBody[J][H])
-        continue;
-      if (Best == InvalidNode || IS.Bodies[J].size() < BestSize) {
-        Best = Other;
-        BestSize = IS.Bodies[J].size();
-      }
-    }
-    IS.Parent[I] = Best;
+  IS.TreeSize.assign(NumLoops, 1);
+  for (auto It = InnerFirst.rbegin(); It != InnerFirst.rend(); ++It)
+    if (NodeId P = IS.Parent[*It]; P != InvalidNode)
+      IS.Depth[*It] = IS.Depth[IS.BodyIndex[P]] + 1;
+  for (unsigned I : InnerFirst)
+    if (NodeId P = IS.Parent[I]; P != InvalidNode)
+      IS.TreeSize[IS.BodyIndex[P]] += IS.TreeSize[I];
+  // Header-tree preorder numbers: loop J is in loop I's subtree iff
+  // TreeIn[I] <= TreeIn[J] < TreeIn[I] + TreeSize[I].
+  IS.TreeIn.assign(NumLoops, 0);
+  std::vector<unsigned> NextChildIn(NumLoops, 0);
+  unsigned NextRootIn = 0;
+  for (auto It = InnerFirst.rbegin(); It != InnerFirst.rend(); ++It) {
+    NodeId P = IS.Parent[*It];
+    unsigned &Cursor = P == InvalidNode ? NextRootIn
+                                        : NextChildIn[IS.BodyIndex[P]];
+    IS.TreeIn[*It] = Cursor;
+    Cursor += IS.TreeSize[*It];
+    NextChildIn[*It] = IS.TreeIn[*It] + 1;
   }
-  // Depths from parent chains.
-  for (NodeId H : AllHeaders) {
-    unsigned D = 0;
-    NodeId P = IS.Parent[IS.BodyIndex[H]];
-    while (P != InvalidNode) {
-      ++D;
-      P = IS.Parent[IS.BodyIndex[P]];
-    }
-    IS.Depth[IS.BodyIndex[H]] = D;
-  }
+
   // Headers outermost-first.
-  IS.Headers = AllHeaders;
+  IS.Headers = HeaderOfLoop;
   std::sort(IS.Headers.begin(), IS.Headers.end(), [&](NodeId A, NodeId B) {
     unsigned DA = IS.Depth[IS.BodyIndex[A]];
     unsigned DB = IS.Depth[IS.BodyIndex[B]];
     return DA != DB ? DA < DB : A < B;
   });
 
-  // HDR(n): innermost loop containing n = smallest containing body.
-  for (NodeId N = 0; N < G.numNodes(); ++N) {
-    NodeId Best = InvalidNode;
-    size_t BestSize = 0;
-    for (NodeId H : AllHeaders) {
-      unsigned I = IS.BodyIndex[H];
-      if (!IS.InBody[I][N])
-        continue;
-      if (Best == InvalidNode || IS.Bodies[I].size() < BestSize) {
-        Best = H;
-        BestSize = IS.Bodies[I].size();
-      }
-    }
-    IS.Hdr[N] = Best;
+  // Bodies (ascending), exit edges (by source node, then out-edge order)
+  // and procedure-exit branches: each is recorded at the innermost loop of
+  // its node and every enclosing loop it also belongs to.
+  auto Enclosing = [&](NodeId H) { return IS.Parent[IS.BodyIndex[H]]; };
+  IS.Bodies.resize(NumLoops);
+  IS.ExitsOf.resize(NumLoops);
+  for (NodeId N = 0; N < NumNodes; ++N) {
+    for (NodeId H = IS.Hdr[N]; H != InvalidNode; H = Enclosing(H))
+      IS.Bodies[IS.BodyIndex[H]].push_back(N);
+    for (const CsrEdgeRef &S : View.succs(N))
+      for (NodeId H = IS.Hdr[N]; H != InvalidNode && !IS.contains(H, S.Node);
+           H = Enclosing(H))
+        IS.ExitsOf[IS.BodyIndex[H]].push_back(S.Edge);
   }
-
-  // Entry edges, exit edges and procedure-exit branches per loop.
-  for (NodeId H : AllHeaders) {
-    unsigned I = IS.BodyIndex[H];
-    for (EdgeId E : G.inEdges(H))
-      if (!IS.InBody[I][G.edge(E).From])
-        IS.Entries[I].push_back(E);
-    for (NodeId N : IS.Bodies[I])
-      for (EdgeId E : G.outEdges(N))
-        if (!IS.InBody[I][G.edge(E).To])
-          IS.ExitsOf[I].push_back(E);
-  }
+  IS.ExitBranchesOf.resize(NumLoops);
   for (const Cfg::ExitBranch &B : C.exitBranches())
-    for (NodeId H : AllHeaders) {
-      unsigned I = IS.BodyIndex[H];
-      if (IS.InBody[I][B.Node])
-        IS.ExitBranchesOf[I].push_back(B);
-    }
+    for (NodeId H = IS.Hdr[B.Node]; H != InvalidNode; H = Enclosing(H))
+      IS.ExitBranchesOf[IS.BodyIndex[H]].push_back(B);
+
+  // Entry edges: in-edges of the header from outside the body.
+  IS.Entries.resize(NumLoops);
+  for (unsigned I = 0; I < NumLoops; ++I)
+    for (const CsrEdgeRef &P : View.preds(HeaderOfLoop[I]))
+      if (!IS.contains(HeaderOfLoop[I], P.Node))
+        IS.Entries[I].push_back(P.Edge);
 
   return IS;
 }

@@ -18,6 +18,13 @@
 /// The virtual outermost interval (the whole procedure) is represented by
 /// InvalidNode, matching the paper's "HDR_PARENT(h) = 0".
 ///
+/// Cost: compute() is O(N + E + sum of loop body sizes) after the DFS and
+/// dominator tree, for CFGs of bounded in-degree: each loop's backward
+/// walk visits its body once (see compute() for the inner-first
+/// argument). contains() is O(1): H contains N iff H is an
+/// ancestor-or-self of HDR(n) in the header tree, tested with header-tree
+/// preorder intervals.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PTRAN_INTERVAL_INTERVALS_H
@@ -26,8 +33,8 @@
 #include "cfg/Cfg.h"
 #include "support/Diagnostics.h"
 
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace ptran {
@@ -50,8 +57,13 @@ public:
   /// The nodes of loop \p H's body (header included), ascending.
   const std::vector<NodeId> &loopBody(NodeId H) const;
 
-  /// True if loop \p H's body contains node \p N (header included).
+  /// True if loop \p H's body contains node \p N (header included). O(1).
   bool contains(NodeId H, NodeId N) const;
+
+  /// Loop \p H's preorder interval [first, second) in the header tree:
+  /// loop G is H or nested in H iff
+  /// treeRange(H).first <= treeRange(G).first < treeRange(H).second.
+  std::pair<unsigned, unsigned> treeRange(NodeId H) const;
 
   /// HDR(n): header of the innermost loop containing \p N; a header is in
   /// its own interval, so hdr(h) == h. InvalidNode when \p N is in no loop
@@ -66,7 +78,7 @@ public:
   /// InvalidNode (the virtual root).
   NodeId hdrLca(NodeId A, NodeId B) const;
 
-  /// Number of loops containing \p N (0 = not in any loop).
+  /// Number of loops containing \p N (0 = not in any loop). O(1).
   unsigned loopDepth(NodeId N) const;
 
   /// Back (latch) edges of loop \p H: edges u -> H with u inside the body.
@@ -101,9 +113,12 @@ private:
   std::vector<unsigned> BodyIndex;
   /// Per-loop data, indexed by loopIndex().
   std::vector<std::vector<NodeId>> Bodies;
-  std::vector<std::vector<bool>> InBody;
   std::vector<NodeId> Parent;
   std::vector<unsigned> Depth;
+  /// Header-tree preorder number and subtree size (in loops), for O(1)
+  /// ancestor tests.
+  std::vector<unsigned> TreeIn;
+  std::vector<unsigned> TreeSize;
   std::vector<std::vector<EdgeId>> Latches;
   std::vector<std::vector<EdgeId>> Entries;
   std::vector<std::vector<EdgeId>> ExitsOf;

@@ -15,15 +15,15 @@ int64_t Symbol::elementCount() const {
 }
 
 VarId Function::declare(Symbol Sym) {
+  VarId V = static_cast<VarId>(Symbols.size());
+  SymbolIndex.emplace(toLower(Sym.Name), V);
   Symbols.push_back(std::move(Sym));
-  return static_cast<VarId>(Symbols.size() - 1);
+  return V;
 }
 
 VarId Function::lookup(std::string_view VarName) const {
-  for (unsigned I = 0; I < Symbols.size(); ++I)
-    if (equalsLower(Symbols[I].Name, VarName))
-      return I;
-  return static_cast<VarId>(-1);
+  auto It = SymbolIndex.find(toLower(VarName));
+  return It == SymbolIndex.end() ? static_cast<VarId>(-1) : It->second;
 }
 
 StmtId Function::append(std::unique_ptr<Stmt> S) {

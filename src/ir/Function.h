@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace ptran {
@@ -55,13 +56,15 @@ public:
   /// caller's responsibility (the parser diagnoses them).
   VarId declare(Symbol Sym);
 
-  /// \returns the VarId of \p Name, or -1u if not declared. Lookup is
-  /// case-insensitive, like Fortran.
+  /// \returns the VarId of \p Name (the first declared, should it be
+  /// declared twice), or -1u if not declared. Lookup is case-insensitive,
+  /// like Fortran, and O(1) expected, so building a procedure stays linear
+  /// in its number of variables.
   VarId lookup(std::string_view VarName) const;
 
   const Symbol &symbol(VarId V) const { return Symbols[V]; }
   /// Mutable access for the front end (e.g. a declaration refining the type
-  /// of an already-registered parameter).
+  /// of an already-registered parameter). The name must not change.
   Symbol &symbolMutable(VarId V) { return Symbols[V]; }
   unsigned numSymbols() const { return static_cast<unsigned>(Symbols.size()); }
 
@@ -102,6 +105,8 @@ public:
 private:
   std::string Name;
   std::vector<Symbol> Symbols;
+  /// Lower-cased name -> first VarId declared with it.
+  std::unordered_map<std::string, VarId> SymbolIndex;
   std::vector<VarId> Params;
   std::vector<std::unique_ptr<Expr>> Arena;
   std::vector<std::unique_ptr<Stmt>> Stmts;

@@ -138,44 +138,27 @@ std::string ptran::printExpr(const Function &F, const Expr *E) {
   return OS.str();
 }
 
-namespace {
-
-/// Maps compiler-generated labels (>= FirstCompilerLabel) to fresh labels
-/// in the user range so that printed output reparses. User labels print
-/// unchanged.
-class LabelRewriter {
-public:
-  explicit LabelRewriter(const Function &F) {
-    int MaxUser = 0;
-    for (StmtId I = 0; I < F.numStmts(); ++I) {
-      int L = F.stmt(I)->label();
-      if (L > 0 && L < FirstCompilerLabel)
-        MaxUser = std::max(MaxUser, L);
-    }
-    Next = MaxUser + 10;
-    for (StmtId I = 0; I < F.numStmts(); ++I) {
-      int L = F.stmt(I)->label();
-      if (L >= FirstCompilerLabel && !Map.count(L)) {
-        Map[L] = Next;
-        Next += 10;
-      }
-    }
+StmtPrinter::StmtPrinter(const Function &F) : F(F) {
+  int MaxUser = 0;
+  for (StmtId I = 0; I < F.numStmts(); ++I) {
+    int L = F.stmt(I)->label();
+    if (L > 0 && L < FirstCompilerLabel)
+      MaxUser = std::max(MaxUser, L);
   }
-
-  int operator()(int Label) const {
-    auto It = Map.find(Label);
-    return It == Map.end() ? Label : It->second;
+  int Next = MaxUser + 10;
+  for (StmtId I = 0; I < F.numStmts(); ++I) {
+    int L = F.stmt(I)->label();
+    if (L >= FirstCompilerLabel && Renumbered.emplace(L, Next).second)
+      Next += 10;
   }
+}
 
-private:
-  std::map<int, int> Map;
-  int Next = 10;
-};
+int StmtPrinter::label(int Label) const {
+  auto It = Renumbered.find(Label);
+  return It == Renumbered.end() ? Label : It->second;
+}
 
-} // namespace
-
-static std::string printStmtImpl(const Function &F, const Stmt *S,
-                                 const LabelRewriter &Rewrite) {
+std::string StmtPrinter::operator()(const Stmt *S) const {
   std::ostringstream OS;
   switch (S->kind()) {
   case StmtKind::Assign: {
@@ -186,11 +169,11 @@ static std::string printStmtImpl(const Function &F, const Stmt *S,
   case StmtKind::IfGoto: {
     const auto *I = cast<IfGotoStmt>(S);
     OS << "IF (" << printExpr(F, I->cond()) << ") GOTO "
-       << Rewrite(I->targetLabel());
+       << label(I->targetLabel());
     break;
   }
   case StmtKind::Goto:
-    OS << "GOTO " << Rewrite(cast<GotoStmt>(S)->targetLabel());
+    OS << "GOTO " << label(cast<GotoStmt>(S)->targetLabel());
     break;
   case StmtKind::ComputedGoto: {
     const auto *Cg = cast<ComputedGotoStmt>(S);
@@ -198,7 +181,7 @@ static std::string printStmtImpl(const Function &F, const Stmt *S,
     for (size_t K = 0; K < Cg->targetLabels().size(); ++K) {
       if (K != 0)
         OS << ", ";
-      OS << Rewrite(Cg->targetLabels()[K]);
+      OS << label(Cg->targetLabels()[K]);
     }
     OS << "), " << printExpr(F, Cg->index());
     break;
@@ -246,11 +229,7 @@ static std::string printStmtImpl(const Function &F, const Stmt *S,
 }
 
 std::string ptran::printStmt(const Function &F, const Stmt *S) {
-  return printStmtImpl(F, S, LabelRewriter(F));
-}
-
-int ptran::printedLabel(const Function &F, int Label) {
-  return LabelRewriter(F)(Label);
+  return StmtPrinter(F)(S);
 }
 
 std::string ptran::printFunction(const Function &F) {
@@ -278,14 +257,14 @@ std::string ptran::printFunction(const Function &F) {
     OS << '\n';
   }
 
-  LabelRewriter Rewrite(F);
+  StmtPrinter Print(F);
   for (StmtId I = 0; I < F.numStmts(); ++I) {
     const Stmt *S = F.stmt(I);
     if (S->label() != 0)
-      OS << Rewrite(S->label()) << ' ';
+      OS << Print.label(S->label()) << ' ';
     else
       OS << "  ";
-    OS << printStmtImpl(F, S, Rewrite) << '\n';
+    OS << Print(S) << '\n';
   }
   OS << "end\n";
   return OS.str();

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -229,6 +230,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
   const Cfg &C = FA.cfg();
   const IntervalStructure &IS = FA.intervals();
   const Function &F = FA.function();
+  NodeNamer NameOf(C);
 
   std::set<ControlCondition> Conds(CD.conditions().begin(),
                                    CD.conditions().end());
@@ -279,7 +281,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
       } else {
         // Optimization 3: add the header-execution count once per entry.
         PlannedCounter PC;
-        PC.Name = "dotrip(" + C.nodeName(H) + ")";
+        PC.Name = "dotrip(" + NameOf(H) + ")";
         PC.Sites.push_back(
             {CounterSite::Kind::DoLoopEntryAdd, C.origin(H), CfgLabel::U, 0});
         unsigned Id = Plan.addCounter(std::move(PC));
@@ -308,7 +310,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
       // Observation 2: header executions = entries + latch traversals.
       // One counter shared by all latch edges.
       PlannedCounter PC;
-      PC.Name = "latch(" + C.nodeName(H) + ")";
+      PC.Name = "latch(" + NameOf(H) + ")";
       for (EdgeId L : IS.backEdges(H)) {
         const Digraph::Edge &Ed = C.graph().edge(L);
         PC.Sites.push_back({CounterSite::Kind::Edge, C.origin(Ed.From),
@@ -326,7 +328,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
     } else {
       // Optimization 1 only: count header executions directly.
       PlannedCounter PC;
-      PC.Name = "header(" + C.nodeName(H) + ")";
+      PC.Name = "header(" + NameOf(H) + ")";
       PC.Sites.push_back(
           {CounterSite::Kind::Statement, C.origin(H), CfgLabel::U, 0});
       unsigned Id = Plan.addCounter(std::move(PC));
@@ -437,7 +439,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
         continue;
       }
       PlannedCounter PC;
-      PC.Name = "cond(" + C.nodeName(U) + "," + cfgLabelName(L) + ")";
+      PC.Name = "cond(" + NameOf(U) + "," + cfgLabelName(L) + ")";
       PC.Sites.push_back(
           {CounterSite::Kind::Edge, C.origin(U), L, 0});
       unsigned Id = Plan.addCounter(std::move(PC));
@@ -456,6 +458,7 @@ FunctionPlan FunctionPlan::build(const FunctionAnalysis &FA,
   }
   buildOptimized(Plan, FA, Mode);
 
+  std::optional<NodeNamer> NameOf; // Built on the first repair.
   // Safety net: the derivation rules above are chosen to be acyclic, but
   // adversarial control flow could still produce an unresolvable system.
   // Fall back to direct measurement for any stuck condition.
@@ -470,8 +473,10 @@ FunctionPlan FunctionPlan::build(const FunctionAnalysis &FA,
     const Cfg &C = FA.cfg();
     const Ecfg &E = FA.ecfg();
     ControlCondition Cond = Probe.Unresolved.front();
+    if (!NameOf)
+      NameOf.emplace(E.cfg());
     PlannedCounter PC;
-    PC.Name = "repair(" + E.cfg().nodeName(Cond.Node) + "," +
+    PC.Name = "repair(" + (*NameOf)(Cond.Node) + "," +
               cfgLabelName(Cond.Label) + ")";
     if (Cond.Node == E.start()) {
       PC.Sites.push_back(
@@ -490,6 +495,7 @@ FunctionPlan FunctionPlan::build(const FunctionAnalysis &FA,
 }
 
 std::string FunctionPlan::str(const FunctionAnalysis &FA) const {
+  NodeNamer NameOf(FA.ecfg().cfg());
   std::ostringstream OS;
   OS << "plan(" << profileModeName(Mode) << ") for " << FA.function().name()
      << ": " << Counters.size() << " counters\n";
@@ -517,7 +523,7 @@ std::string FunctionPlan::str(const FunctionAnalysis &FA) const {
     OS << "]\n";
   }
   for (const auto &[Cond, R] : Resolutions) {
-    OS << "  (" << FA.ecfg().cfg().nodeName(Cond.Node) << ", "
+    OS << "  (" << NameOf(Cond.Node) << ", "
        << cfgLabelName(Cond.Label) << ") <- " << resolutionKindName(R.K);
     if (R.K == Resolution::Kind::Measured)
       OS << " c" << R.Counter;

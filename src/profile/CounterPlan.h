@@ -25,6 +25,10 @@
 /// optimization only for straight-line bodies, as in Table 1) is also
 /// built here.
 ///
+/// Counter names ("latch(S7: DO ...)", "cond(S9: IF ...,T)") print
+/// statements through one NodeNamer per function, so naming costs
+/// O(statements + counters) rather than a label renumbering per name.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PTRAN_PROFILE_COUNTERPLAN_H

@@ -198,62 +198,92 @@ FrequencyTotals ExactProfile::totals(const Function &F) const {
 // LoopFrequencyStats
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Fills a per-statement slice table: Begin[S] .. Begin[S + 1] indexes the
+/// values of the (statement, value) pairs whose statement is S, in input
+/// order.
+void bucketByStmt(unsigned NumStmts,
+                  const std::vector<std::pair<StmtId, unsigned>> &Pairs,
+                  std::vector<unsigned> &Begin, std::vector<unsigned> &Values) {
+  Begin.assign(NumStmts + 1, 0);
+  for (const auto &[S, V] : Pairs)
+    ++Begin[S + 1];
+  for (unsigned S = 0; S < NumStmts; ++S)
+    Begin[S + 1] += Begin[S];
+  Values.resize(Pairs.size());
+  std::vector<unsigned> Fill(Begin.begin(), Begin.end() - 1);
+  for (const auto &[S, V] : Pairs)
+    Values[Fill[S]++] = V;
+}
+
+} // namespace
+
+bool LoopFrequencyStats::FunctionLoops::bodyContains(unsigned Loop,
+                                                     StmtId S) const {
+  if (S >= InnerBegin.size() - 1) // Includes InvalidStmt.
+    return false;
+  for (unsigned K = InnerBegin[S]; K < InnerBegin[S + 1]; ++K)
+    if (TreeIn[Loop] <= TreeIn[Inner[K]] && TreeIn[Inner[K]] < TreeEnd[Loop])
+      return true;
+  return false;
+}
+
 LoopFrequencyStats::LoopFrequencyStats(const ProgramAnalysis &RawPA) {
   for (const auto &[F, FA] : RawPA.all()) {
-    std::vector<LoopShape> FnShapes;
     const IntervalStructure &IS = FA->intervals();
     const Cfg &C = FA->cfg();
-    for (NodeId H : IS.headers()) {
-      LoopShape Shape;
-      Shape.HeaderStmt = C.origin(H);
-      Shape.BodyStmts.assign(F->numStmts(), false);
-      for (NodeId N : IS.loopBody(H)) {
-        StmtId S = C.origin(N);
-        if (S != InvalidStmt)
-          Shape.BodyStmts[S] = true;
-      }
-      FnShapes.push_back(std::move(Shape));
+    const std::vector<NodeId> &Headers = IS.headers();
+    unsigned NumLoops = static_cast<unsigned>(Headers.size());
+    FunctionLoops &L = Loops[F];
+
+    std::vector<unsigned> LoopOfHeader(C.numNodes(), NoLoop);
+    std::vector<std::pair<StmtId, unsigned>> HeadedPairs, InnerPairs;
+    for (unsigned I = 0; I < NumLoops; ++I) {
+      LoopOfHeader[Headers[I]] = I;
+      auto [In, End] = IS.treeRange(Headers[I]);
+      L.TreeIn.push_back(In);
+      L.TreeEnd.push_back(End);
+      L.HeaderStmt.push_back(C.origin(Headers[I]));
+      if (L.HeaderStmt[I] != InvalidStmt)
+        HeadedPairs.emplace_back(L.HeaderStmt[I], I);
     }
-    Shapes.emplace(F, std::move(FnShapes));
+    for (NodeId N = 0; N < C.numNodes(); ++N)
+      if (C.origin(N) != InvalidStmt && IS.hdr(N) != InvalidNode)
+        InnerPairs.emplace_back(C.origin(N), LoopOfHeader[IS.hdr(N)]);
+    bucketByStmt(F->numStmts(), HeadedPairs, L.HeadedBegin, L.Headed);
+    bucketByStmt(F->numStmts(), InnerPairs, L.InnerBegin, L.Inner);
   }
 }
 
 void LoopFrequencyStats::onProcedureEntry(const Function &F, unsigned Depth) {
   Frames.resize(Depth + 1);
-  Frames[Depth].F = &F;
-  Frames[Depth].Active.clear();
+  FunctionState &State = Frames[Depth];
+  State.F = &F;
+  auto It = Loops.find(&F);
+  State.Loops = It == Loops.end() ? nullptr : &It->second;
+  State.Active.clear();
 }
 
-void LoopFrequencyStats::onProcedureExit(const Function &F, unsigned Depth) {
+void LoopFrequencyStats::onProcedureExit(const Function &, unsigned Depth) {
   if (Depth >= Frames.size())
     return;
-  FunctionState &State = Frames[Depth];
   // Close any loops still open (closed normally via the exit transfer, but
   // a fault can interrupt execution mid-loop).
-  while (!State.Active.empty()) {
-    ActiveLoop &A = State.Active.back();
-    const LoopShape &Shape = Shapes[&F][A.LoopIdx];
-    Moments &M = Stats[{&F, Shape.HeaderStmt}];
-    M.Entries += 1;
-    M.Sum += A.HeaderExecs;
-    M.SumSq += A.HeaderExecs * A.HeaderExecs;
-    State.Active.pop_back();
-  }
+  closeLoopsOutside(Frames[Depth], InvalidStmt);
   Frames.resize(Depth);
 }
 
-void LoopFrequencyStats::onStatement(const Function &F, StmtId S,
+void LoopFrequencyStats::onStatement(const Function &, StmtId S,
                                      unsigned Depth) {
   FunctionState &State = Frames[Depth];
-  auto It = Shapes.find(&F);
-  if (It == Shapes.end())
+  const FunctionLoops *L = State.Loops;
+  if (!L || S >= L->HeadedBegin.size() - 1)
     return;
-  const std::vector<LoopShape> &FnShapes = It->second;
 
   // Header executions: bump active loops, activate on first execution.
-  for (unsigned I = 0; I < FnShapes.size(); ++I) {
-    if (FnShapes[I].HeaderStmt != S)
-      continue;
+  for (unsigned K = L->HeadedBegin[S]; K < L->HeadedBegin[S + 1]; ++K) {
+    unsigned I = L->Headed[K];
     bool ActiveAlready = false;
     for (ActiveLoop &A : State.Active)
       if (A.LoopIdx == I) {
@@ -266,15 +296,12 @@ void LoopFrequencyStats::onStatement(const Function &F, StmtId S,
 }
 
 void LoopFrequencyStats::closeLoopsOutside(FunctionState &State,
-                                           const Function &F, StmtId Target) {
+                                           StmtId Target) {
   while (!State.Active.empty()) {
     ActiveLoop &A = State.Active.back();
-    const LoopShape &Shape = Shapes[&F][A.LoopIdx];
-    bool Inside = Target != InvalidStmt && Target < Shape.BodyStmts.size() &&
-                  Shape.BodyStmts[Target];
-    if (Inside)
+    if (State.Loops->bodyContains(A.LoopIdx, Target))
       return;
-    Moments &M = Stats[{&F, Shape.HeaderStmt}];
+    Moments &M = Stats[{State.F, State.Loops->HeaderStmt[A.LoopIdx]}];
     M.Entries += 1;
     M.Sum += A.HeaderExecs;
     M.SumSq += A.HeaderExecs * A.HeaderExecs;
@@ -282,11 +309,11 @@ void LoopFrequencyStats::closeLoopsOutside(FunctionState &State,
   }
 }
 
-void LoopFrequencyStats::onTransfer(const Function &F, StmtId, CfgLabel,
+void LoopFrequencyStats::onTransfer(const Function &, StmtId, CfgLabel,
                                     StmtId To, unsigned Depth) {
   if (Depth >= Frames.size())
     return;
-  closeLoopsOutside(Frames[Depth], F, To);
+  closeLoopsOutside(Frames[Depth], To);
 }
 
 const LoopFrequencyStats::Moments *

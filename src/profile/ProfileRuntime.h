@@ -133,7 +133,9 @@ private:
 
 /// Per-loop frequency moments: for each loop entry, the number of header
 /// executions until the loop was left. Uses a goto-preserving analysis so
-/// that statement/loop membership matches run-time events exactly.
+/// that statement/loop membership matches run-time events exactly. Each
+/// statement or transfer event costs O(1 + loop depth), and the tables
+/// take O(statements + loops) memory.
 class LoopFrequencyStats : public ExecutionObserver {
 public:
   /// \p RawPA must be computed with AnalysisOptions{.ElideGotos = false}.
@@ -173,10 +175,30 @@ public:
   void addMoments(const Function &F, StmtId HeaderStmt, const Moments &M);
 
 private:
-  struct LoopShape {
-    StmtId HeaderStmt = InvalidStmt;
-    /// Statement-level body membership.
-    std::vector<bool> BodyStmts;
+  static constexpr unsigned NoLoop = static_cast<unsigned>(-1);
+
+  /// One function's loops, indexed in IntervalStructure::headers() order.
+  /// Statement events cost O(1 + depth): loops are found by header
+  /// statement, and body membership is a header-tree ancestor test on the
+  /// statement's innermost loop.
+  struct FunctionLoops {
+    std::vector<StmtId> HeaderStmt;
+    /// Header-tree preorder interval (IntervalStructure::treeRange): loop
+    /// J is loop I or nested in it iff TreeIn[I] <= TreeIn[J] < TreeEnd[I].
+    std::vector<unsigned> TreeIn;
+    std::vector<unsigned> TreeEnd;
+    /// Loops headed by statement S: Headed[HeadedBegin[S] ..
+    /// HeadedBegin[S + 1]), in loop order.
+    std::vector<unsigned> HeadedBegin;
+    std::vector<unsigned> Headed;
+    /// Innermost loops of statement S's CFG nodes (S is in a loop's body
+    /// iff one of them is that loop or nested in it): Inner[InnerBegin[S]
+    /// .. InnerBegin[S + 1]).
+    std::vector<unsigned> InnerBegin;
+    std::vector<unsigned> Inner;
+
+    /// True if statement \p S belongs to loop \p Loop's body.
+    bool bodyContains(unsigned Loop, StmtId S) const;
   };
   struct ActiveLoop {
     unsigned LoopIdx = 0;
@@ -184,14 +206,15 @@ private:
   };
   struct FunctionState {
     const Function *F = nullptr;
+    /// F's loops, or null when F was not analyzed.
+    const FunctionLoops *Loops = nullptr;
     /// Active loops, innermost last.
     std::vector<ActiveLoop> Active;
   };
 
-  void closeLoopsOutside(FunctionState &State, const Function &F,
-                         StmtId Target);
+  void closeLoopsOutside(FunctionState &State, StmtId Target);
 
-  std::map<const Function *, std::vector<LoopShape>> Shapes;
+  std::map<const Function *, FunctionLoops> Loops;
   std::map<std::pair<const Function *, StmtId>, Moments> Stats;
   /// Stack of per-activation states, indexed by frame depth.
   std::vector<FunctionState> Frames;

@@ -2,6 +2,8 @@
 
 #include "profile/Recovery.h"
 
+#include "graph/GraphView.h"
+
 #include <string>
 
 using namespace ptran;
@@ -36,6 +38,10 @@ FrequencyTotals ptran::recoverTotals(const FunctionAnalysis &FA,
   FrequencyTotals Out;
   Out.Node.assign(Fcdg.numNodes(), -1.0);
   std::map<ControlCondition, double> Known;
+  // In-edges per node in Digraph order (the order node sums accumulate
+  // in), gathered once rather than on every pass.
+  CsrGraph FcdgCsr(Fcdg);
+  GraphView View = FcdgCsr.view();
 
   auto CondKnown = [&](const ControlCondition &C) {
     return Known.count(C) != 0;
@@ -98,16 +104,15 @@ FrequencyTotals ptran::recoverTotals(const FunctionAnalysis &FA,
       }
       double Sum = 0.0;
       bool AllKnown = true;
-      for (EdgeId In : Fcdg.inEdges(N)) {
-        const Digraph::Edge &Ed = Fcdg.edge(In);
-        ControlCondition C{Ed.From, static_cast<CfgLabel>(Ed.Label)};
-        if (!CondKnown(C)) {
+      for (const CsrEdgeRef &In : View.preds(N)) {
+        auto It = Known.find({In.Node, static_cast<CfgLabel>(In.Label)});
+        if (It == Known.end()) {
           AllKnown = false;
           break;
         }
-        Sum += Known[C];
+        Sum += It->second;
       }
-      if (AllKnown && Fcdg.inDegree(N) > 0) {
+      if (AllKnown && View.inDegree(N) > 0) {
         Out.Node[N] = Sum;
         Changed = true;
       }

@@ -2,10 +2,13 @@
 
 #include "Reference.h"
 
+#include "graph/DepthFirst.h"
+#include "graph/Dominators.h"
 #include "graph/Scc.h"
 #include "ir/Function.h"
 #include "support/Casting.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace ptran;
@@ -55,6 +58,103 @@ ptran::testing::bruteForceDominators(const Digraph &G, NodeId Root) {
 std::vector<std::set<NodeId>>
 ptran::testing::bruteForcePostDominators(const Digraph &G, NodeId Stop) {
   return bruteForceDominators(G.reversed(), Stop);
+}
+
+std::optional<ReferenceIntervals>
+ptran::testing::referenceIntervals(const Cfg &C) {
+  const Digraph &G = C.graph();
+  ReferenceIntervals R;
+  R.Hdr.assign(G.numNodes(), InvalidNode);
+  if (G.numNodes() == 0)
+    return R;
+
+  CsrGraph Csr(G);
+  DfsResult Dfs(Csr.view(), C.entry());
+  DominatorTree Dom(Csr.view(), C.entry());
+
+  // Group back edges by header, rejecting irreducible retreating edges.
+  for (EdgeId E = 0; E < G.numEdgeSlots(); ++E) {
+    if (!G.isLive(E) || Dfs.edgeKind(E) != DfsEdgeKind::Retreating)
+      continue;
+    const Digraph::Edge &Ed = G.edge(E);
+    if (!Dom.dominates(Ed.To, Ed.From))
+      return std::nullopt;
+    R.Latches[Ed.To].push_back(E);
+  }
+
+  // Natural loop of each header: backward reachability from the latches
+  // that stays inside the region dominated by the header.
+  for (const auto &[Header, LatchEdges] : R.Latches) {
+    std::vector<bool> InThisBody(G.numNodes(), false);
+    InThisBody[Header] = true;
+    std::vector<NodeId> Worklist;
+    for (EdgeId E : LatchEdges) {
+      NodeId Latch = G.edge(E).From;
+      if (!InThisBody[Latch]) {
+        InThisBody[Latch] = true;
+        Worklist.push_back(Latch);
+      }
+    }
+    while (!Worklist.empty()) {
+      NodeId N = Worklist.back();
+      Worklist.pop_back();
+      for (NodeId P : G.predecessors(N)) {
+        if (!Dfs.isReachable(P) || InThisBody[P])
+          continue;
+        InThisBody[P] = true;
+        Worklist.push_back(P);
+      }
+    }
+    std::vector<NodeId> Body;
+    for (NodeId N = 0; N < G.numNodes(); ++N)
+      if (InThisBody[N])
+        Body.push_back(N);
+    R.Bodies[Header] = std::move(Body);
+    R.InBody[Header] = std::move(InThisBody);
+  }
+
+  // The smallest body among headers other than \p Skip containing \p N.
+  auto SmallestContaining = [&](NodeId N, NodeId Skip) {
+    NodeId Best = InvalidNode;
+    for (const auto &[H, Body] : R.Bodies)
+      if (H != Skip && R.InBody[H][N] &&
+          (Best == InvalidNode || Body.size() < R.Bodies[Best].size()))
+        Best = H;
+    return Best;
+  };
+  std::map<NodeId, unsigned> Depth;
+  for (const auto &[H, Body] : R.Bodies)
+    R.Parent[H] = SmallestContaining(H, H);
+  for (const auto &[H, Body] : R.Bodies) {
+    unsigned D = 0;
+    for (NodeId P = R.Parent[H]; P != InvalidNode; P = R.Parent[P])
+      ++D;
+    Depth[H] = D;
+    R.Headers.push_back(H);
+  }
+  std::stable_sort(R.Headers.begin(), R.Headers.end(),
+                   [&](NodeId A, NodeId B) { return Depth[A] < Depth[B]; });
+  for (NodeId N = 0; N < G.numNodes(); ++N)
+    R.Hdr[N] = SmallestContaining(N, InvalidNode);
+
+  // Entry edges, exit edges and procedure-exit branches per loop.
+  for (const auto &[H, Body] : R.Bodies) {
+    const std::vector<bool> &In = R.InBody[H];
+    R.Entries[H];
+    R.Exits[H];
+    R.ExitBranches[H];
+    for (EdgeId E : G.inEdges(H))
+      if (!In[G.edge(E).From])
+        R.Entries[H].push_back(E);
+    for (NodeId N : Body)
+      for (EdgeId E : G.outEdges(N))
+        if (!In[G.edge(E).To])
+          R.Exits[H].push_back(E);
+    for (const Cfg::ExitBranch &B : C.exitBranches())
+      if (In[B.Node])
+        R.ExitBranches[H].push_back(B);
+  }
+  return R;
 }
 
 std::set<std::tuple<NodeId, NodeId, LabelId>>

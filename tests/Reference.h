@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Slow, obviously-correct reference implementations used to validate the
-/// production algorithms: reachability-based dominators, a literal
-/// transcription of the paper's Definition 2 of control dependence, and
-/// the node-object TIME/VAR evaluator of Sections 4 and 5.
+/// production algorithms: reachability-based dominators, natural loops
+/// found one bitmap per header, a literal transcription of the paper's
+/// Definition 2 of control dependence, and the node-object TIME/VAR
+/// evaluator of Sections 4 and 5.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +19,10 @@
 #include "cdg/ControlDependence.h"
 #include "cost/TimeAnalysis.h"
 #include "graph/Digraph.h"
+#include "interval/Intervals.h"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -37,6 +40,30 @@ std::vector<std::set<NodeId>> bruteForceDominators(const Digraph &G,
 /// Result[B] contains every A that postdominates B.
 std::vector<std::set<NodeId>> bruteForcePostDominators(const Digraph &G,
                                                        NodeId Stop);
+
+/// The interval structure of a CFG, found loop by loop: each header's
+/// natural loop is a node bitmap filled by backward reachability from its
+/// latches; the parent of a loop and HDR(n) are the smallest enclosing
+/// bodies found by scanning every header. O(nodes × loops); the oracle
+/// that IntervalStructure::compute is compared with query by query.
+struct ReferenceIntervals {
+  /// Headers outermost-first (by depth, then node id).
+  std::vector<NodeId> Headers;
+  /// Innermost header per node, or InvalidNode.
+  std::vector<NodeId> Hdr;
+  /// Per header:
+  std::map<NodeId, NodeId> Parent;
+  std::map<NodeId, std::vector<bool>> InBody;
+  std::map<NodeId, std::vector<NodeId>> Bodies;
+  std::map<NodeId, std::vector<EdgeId>> Latches;
+  std::map<NodeId, std::vector<EdgeId>> Entries;
+  std::map<NodeId, std::vector<EdgeId>> Exits;
+  std::map<NodeId, std::vector<Cfg::ExitBranch>> ExitBranches;
+};
+
+/// \returns the reference interval structure of \p C, or std::nullopt if
+/// a retreating edge does not target a dominator (irreducible).
+std::optional<ReferenceIntervals> referenceIntervals(const Cfg &C);
 
 /// A literal implementation of Definition 2: Y is control dependent on
 /// (X, L) iff Y does not postdominate X, and there is a path from X to Y,

@@ -2,14 +2,17 @@
 //
 // The paper's HDR / HDR_PARENT / HDR_LCA mappings, loop bodies, entry /
 // back / exit edges, exit-free-DO detection, irreducibility rejection and
-// node splitting.
+// node splitting; and a query-by-query comparison of the inner-first
+// construction with the per-loop bitmap oracle (tests/Reference.h).
 //
 //===----------------------------------------------------------------------===//
 
+#include "Reference.h"
 #include "TestPrograms.h"
 
 #include "interval/Intervals.h"
 #include "ir/Builder.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,47 @@ using namespace ptran;
 using namespace ptran::testing;
 
 namespace {
+
+/// Compares every IntervalStructure query on \p C with the reference
+/// construction: headers() order, hdr, hdrParent, loopDepth, loopBody,
+/// contains for every (header, node) pair, and the back / entry / exit
+/// edge and exit-branch lists with their order.
+void expectMatchesReference(const Cfg &C) {
+  DiagnosticEngine Diags;
+  std::optional<IntervalStructure> IS = IntervalStructure::compute(C, Diags);
+  std::optional<ReferenceIntervals> Ref = referenceIntervals(C);
+  ASSERT_EQ(IS.has_value(), Ref.has_value()) << Diags.str();
+  if (!IS)
+    return;
+
+  ASSERT_EQ(IS->headers(), Ref->Headers);
+  for (NodeId N = 0; N < C.numNodes(); ++N) {
+    ASSERT_EQ(IS->hdr(N), Ref->Hdr[N]) << "node " << N;
+    EXPECT_EQ(IS->isHeader(N), Ref->Bodies.count(N) != 0) << "node " << N;
+  }
+  for (NodeId H : Ref->Headers) {
+    SCOPED_TRACE("header " + std::to_string(H));
+    EXPECT_EQ(IS->hdrParent(H), Ref->Parent.at(H));
+    unsigned Depth = 0;
+    for (NodeId P = H; P != InvalidNode; P = Ref->Parent.at(P))
+      ++Depth;
+    EXPECT_EQ(IS->loopDepth(H), Depth);
+    EXPECT_EQ(IS->loopBody(H), Ref->Bodies.at(H));
+    const std::vector<bool> &InBody = Ref->InBody.at(H);
+    for (NodeId N = 0; N < C.numNodes(); ++N)
+      ASSERT_EQ(IS->contains(H, N), InBody[N]) << "node " << N;
+    EXPECT_EQ(IS->backEdges(H), Ref->Latches.at(H));
+    EXPECT_EQ(IS->entryEdges(H), Ref->Entries.at(H));
+    EXPECT_EQ(IS->exitEdges(H), Ref->Exits.at(H));
+    const std::vector<Cfg::ExitBranch> &Branches = IS->exitBranches(H);
+    const std::vector<Cfg::ExitBranch> &RefBranches = Ref->ExitBranches.at(H);
+    ASSERT_EQ(Branches.size(), RefBranches.size());
+    for (size_t I = 0; I < Branches.size(); ++I) {
+      EXPECT_EQ(Branches[I].Node, RefBranches[I].Node);
+      EXPECT_EQ(Branches[I].Label, RefBranches[I].Label);
+    }
+  }
+}
 
 /// main with a triple-nested DO and a sibling DO:
 ///   do i ...          (outer)
@@ -248,6 +292,66 @@ TEST(NodeSplitting, RefusesFunctionBackedCfgs) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+TEST(IntervalReference, Figure1) {
+  Figure1Program Fix = makeFigure1();
+  Cfg C = buildCfg(*Fix.Main);
+  expectMatchesReference(C);
+  elideGotoNodes(C);
+  expectMatchesReference(C);
+}
+
+TEST(IntervalReference, SplitIrreducibleGraph) {
+  // The irreducible 0 -> {1, 2}, 1 <-> 2 graph before and after splitting.
+  Cfg C;
+  for (int I = 0; I < 4; ++I)
+    C.createNode(CfgNodeType::Other);
+  C.setEntry(0);
+  C.addEdge(0, 1, CfgLabel::T);
+  C.addEdge(0, 2, CfgLabel::F);
+  C.addEdge(1, 2, CfgLabel::U);
+  C.addEdge(2, 1, CfgLabel::U);
+  C.addEdge(3, 1, CfgLabel::U); // Unreachable predecessor of a header.
+  C.addExitBranch(1, CfgLabel::U);
+  expectMatchesReference(C);
+  DiagnosticEngine Diags;
+  ASSERT_GT(splitNodes(C, Diags), 0u) << Diags.str();
+  expectMatchesReference(C);
+}
+
+TEST(IntervalReference, ExitBranchesInNestedLoops) {
+  // 0 -> 1 (outer header) -> 2 (inner header) -> 3 -> 2, 3 -> 4 -> 1,
+  // 1 -> 5; procedure exits from inside both loops and from outside.
+  Cfg C;
+  for (int I = 0; I < 6; ++I)
+    C.createNode(CfgNodeType::Other);
+  C.setEntry(0);
+  C.addEdge(0, 1, CfgLabel::U);
+  C.addEdge(1, 2, CfgLabel::T);
+  C.addEdge(1, 5, CfgLabel::F);
+  C.addEdge(2, 3, CfgLabel::U);
+  C.addEdge(3, 2, CfgLabel::T);
+  C.addEdge(3, 4, CfgLabel::F);
+  C.addEdge(4, 1, CfgLabel::U);
+  C.addExitBranch(5, CfgLabel::U);
+  C.addExitBranch(3, CfgLabel::U);
+  C.addExitBranch(4, CfgLabel::T);
+  C.addExitBranch(2, CfgLabel::F);
+  expectMatchesReference(C);
+}
+
+TEST(IntervalReference, ScalingPrograms) {
+  for (unsigned Depth = 1; Depth <= 3; ++Depth)
+    for (unsigned Units : {1u, 2u, 17u, 64u, 256u}) {
+      SCOPED_TRACE("makeScalingProgram(" + std::to_string(Units) + ", " +
+                   std::to_string(Depth) + ")");
+      std::unique_ptr<Program> Prog = makeScalingProgram(Units, Depth);
+      Cfg C = buildCfg(*Prog->findFunction("main"));
+      expectMatchesReference(C);
+      elideGotoNodes(C);
+      expectMatchesReference(C);
+    }
+}
+
 class RandomProgramIntervals : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomProgramIntervals, StructuralInvariantsHold) {
@@ -277,6 +381,17 @@ TEST_P(RandomProgramIntervals, StructuralInvariantsHold) {
         EXPECT_FALSE(IS->contains(H, C.graph().edge(E).To));
       }
     }
+  }
+}
+
+TEST_P(RandomProgramIntervals, MatchesReference) {
+  std::unique_ptr<Program> Prog =
+      makeRandomProgram(GetParam(), RandomProgramConfig());
+  for (const auto &F : Prog->functions()) {
+    Cfg C = buildCfg(*F);
+    expectMatchesReference(C);
+    elideGotoNodes(C);
+    expectMatchesReference(C);
   }
 }
 

@@ -356,12 +356,13 @@ void printStatementTable(const Estimator &Est, const Function &F,
   const FunctionAnalysis &FA = Est.analysis().of(F);
   TablePrinter T({"statement", "NODE_FREQ", "COST", "TIME", "VAR",
                   "STD_DEV"});
+  StmtPrinter Print(F);
   for (StmtId S = 0; S < F.numStmts(); ++S) {
     NodeId N = FA.cfg().nodeForStmt(S);
     if (N == InvalidNode)
       continue;
     const NodeEstimates &E = TA.of(F, N);
-    T.addRow({printStmt(F, F.stmt(S)), formatDouble(Freqs.NodeFreq[N], 5),
+    T.addRow({Print(F.stmt(S)), formatDouble(Freqs.NodeFreq[N], 5),
               formatDouble(E.Cost, 5), formatDouble(E.Time, 6),
               formatDouble(E.Var, 6), formatDouble(E.StdDev, 5)});
   }
@@ -376,13 +377,14 @@ void printChunkAdvice(const Estimator &Est,
                   "KW chunk"});
   for (const auto &F : Est.analysis().program().functions()) {
     const FunctionAnalysis &FA = Est.analysis().of(*F);
+    StmtPrinter Print(*F);
     for (NodeId H : FA.intervals().headers()) {
       StmtId S = FA.cfg().origin(H);
       if (S == InvalidStmt || F->stmt(S)->kind() != StmtKind::DoStart)
         continue;
       LoopScheduleAdvice A =
           adviseChunkSize(TA, FA, Freqs.at(F.get()), H, P, Overhead);
-      T.addRow({F->name(), printStmt(*F, F->stmt(S)),
+      T.addRow({F->name(), Print(F->stmt(S)),
                 formatDouble(A.TripCount, 5), formatDouble(A.BodyMean, 5),
                 formatDouble(A.BodyVar, 5), std::to_string(A.Chunk)});
     }
