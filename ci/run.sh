@@ -11,6 +11,7 @@
 #   ci/run.sh ubsan      # just the -DPTRAN_SANITIZE=undefined preset
 #   ci/run.sh asan       # just the -DPTRAN_SANITIZE=address preset
 #   ci/run.sh bench      # benchmark smoke (not part of "all")
+#   ci/run.sh lines [BASE]   # src/+tools/ line delta (not part of "all")
 #
 # Each preset builds into its own directory (build-ci-*), so a CI run
 # never disturbs a developer's ./build tree, and the sanitizer trees run
@@ -46,6 +47,11 @@
 # untraced. It fails when the harness does not build or a run's final
 # JSON line does not say "correct": true; the numbers are only reported,
 # so a refactor that breaks an API the harness calls shows up in CI.
+#
+# The lines command prints the lines added, removed and net under src/ and
+# tools/ between BASE (default HEAD~1) and the working tree, from
+# git diff --numstat: the per-change line delta CHANGES.md records. New
+# files count once they are staged (git add); binary files are skipped.
 #
 #===----------------------------------------------------------------------===#
 
@@ -91,6 +97,14 @@ run_bench() {
   done
 }
 
+run_lines() {
+  local base="${1:-HEAD~1}"
+  git diff --numstat "${base}" -- src tools |
+    awk -v base="${base}" '$1 != "-" { added += $1; removed += $2 }
+      END { printf "src+tools since %s: +%d -%d, net %d lines\n",
+                   base, added, removed, added - removed }'
+}
+
 what="${1:-all}"
 case "${what}" in
 tier1) run_preset tier1 "" ;;
@@ -98,6 +112,10 @@ tsan) run_preset tsan thread ;;
 ubsan) run_preset ubsan undefined ;;
 asan) run_preset asan address ;;
 bench) run_bench ;;
+lines)
+  run_lines "${2:-}"
+  exit 0
+  ;;
 all)
   run_preset tier1 ""
   run_preset tsan thread
@@ -105,7 +123,7 @@ all)
   run_preset asan address
   ;;
 *)
-  echo "usage: ci/run.sh [tier1|tsan|ubsan|asan|bench|all]" >&2
+  echo "usage: ci/run.sh [tier1|tsan|ubsan|asan|bench|all|lines [BASE]]" >&2
   exit 2
   ;;
 esac

@@ -86,8 +86,8 @@ struct EstimatorOptions {
   /// without an FCDG there is nothing to degrade to.
   DeadlinePolicy OnDeadline = DeadlinePolicy::Fail;
   /// Retry policy for profile-file IO driven through the session
-  /// (saveProfile/loadProfile); transient failures are absorbed per the
-  /// policy, only persistent ones surface.
+  /// (EstimationSession::saveProfile); transient failures are absorbed
+  /// per the policy, only persistent ones surface.
   RetryPolicy IoRetry;
 
   EstimatorOptions() = default;

@@ -15,9 +15,8 @@
 using namespace ptran;
 
 uint64_t ptran::structuralFingerprintOf(const FunctionAnalysis &FA) {
-  // FNV offset basis + golden-ratio mixing; must stay identical to the
-  // historical ProgramDatabase::structuralFingerprint (which now
-  // delegates here) so on-disk fingerprints match session cache keys.
+  // FNV offset basis + golden-ratio mixing. Saved profiles carry these
+  // values, so changing the hash orphans every profile on disk.
   uint64_t H = 1469598103934665603ULL;
   auto Mix = [&H](uint64_t V) {
     H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
@@ -279,11 +278,6 @@ bool readBytesOnce(const std::string &Path, std::vector<uint8_t> &Bytes,
 
 } // namespace
 
-bool ProfileFile::saveToFile(const std::string &Path,
-                             DiagnosticEngine *Diags) const {
-  return saveToFile(Path, Diags, RetryPolicy());
-}
-
 bool ProfileFile::saveToFile(const std::string &Path, DiagnosticEngine *Diags,
                              const RetryPolicy &Retry, ObsSink *Obs) const {
   // Serialize (and apply the simulated disk corruption, which flips after
@@ -315,11 +309,6 @@ bool ProfileFile::saveToFile(const std::string &Path, DiagnosticEngine *Diags,
                                  std::to_string(Out.Retries) +
                                  " retried transient IO failures");
   return true;
-}
-
-std::optional<ProfileFile> ProfileFile::loadFromFile(const std::string &Path,
-                                                     DiagnosticEngine *Diags) {
-  return loadFromFile(Path, Diags, RetryPolicy());
 }
 
 std::optional<ProfileFile>

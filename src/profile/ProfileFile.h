@@ -54,8 +54,8 @@ namespace ptran {
 
 /// Structural fingerprint of one function: statement count, ECFG size and
 /// the full control-condition list. Profiles recorded against a different
-/// version of the function hash differently. (ProgramDatabase::
-/// structuralFingerprint delegates here; the values are identical.)
+/// version of the function hash differently. Estimation sessions reuse it
+/// as the structural part of their summary-cache keys.
 uint64_t structuralFingerprintOf(const FunctionAnalysis &FA);
 
 /// Fingerprint of a whole analyzed program: the per-function fingerprints
@@ -99,10 +99,6 @@ class ProfileFile {
 public:
   static constexpr uint32_t MagicValue = 0x46505450; // "PTPF" little-endian.
   static constexpr uint32_t CurrentVersion = 1;
-  /// Alias of support/Saturation.h's CounterSaturationLimit (2^53), kept
-  /// on the class for existing callers; merges clamp here (with a
-  /// diagnostic) instead of silently losing precision.
-  static constexpr double SaturationLimit = CounterSaturationLimit;
 
   ProfileFile() = default;
 
@@ -125,39 +121,35 @@ public:
   static std::optional<ProfileFile> deserialize(const std::vector<uint8_t> &Bytes,
                                                 DiagnosticEngine *Diags);
 
-  /// serialize() + write to \p Path. False (with an error on \p Diags) on
-  /// IO failure. Fault-injection sites: io.fail, profile.flip (the flip
-  /// corrupts the written image, simulating disk corruption).
-  bool saveToFile(const std::string &Path, DiagnosticEngine *Diags) const;
-
-  /// Retry-wrapped save: transient failures (injected io.fail, a failed
-  /// open, a short write) are retried per \p Retry with exponential
-  /// backoff; a write that eventually succeeds reports nothing but a note,
-  /// only a persistent failure surfaces as an error. The byte image is
-  /// serialized once, so every attempt writes identical bytes. \p Obs,
-  /// when non-null, receives one `resilience.io_retries` per retry.
+  /// serialize() + atomic write to \p Path. False (with an error on
+  /// \p Diags) on IO failure; the previous file is then left intact.
+  /// Transient failures (injected io.fail, a failed open, a short write)
+  /// are retried per \p Retry with exponential backoff (the default policy
+  /// makes one attempt); a write that eventually succeeds reports nothing
+  /// but a note. The byte image is serialized once, so every attempt
+  /// writes identical bytes. \p Obs, when non-null, receives one
+  /// `resilience.io_retries` per retry. Fault-injection sites: io.fail,
+  /// profile.flip (the flip corrupts the written image, simulating disk
+  /// corruption).
   bool saveToFile(const std::string &Path, DiagnosticEngine *Diags,
-                  const RetryPolicy &Retry, ObsSink *Obs = nullptr) const;
+                  const RetryPolicy &Retry = RetryPolicy(),
+                  ObsSink *Obs = nullptr) const;
 
-  /// Reads \p Path and deserializes. Fault-injection site: io.fail.
-  static std::optional<ProfileFile> loadFromFile(const std::string &Path,
-                                                 DiagnosticEngine *Diags);
-
-  /// Retry-wrapped load. Only the IO is retried (injected io.fail, failed
-  /// open, read error): corruption found by deserialize() is a permanent
-  /// failure that no retry can fix, so it surfaces immediately. Merging is
-  /// in-memory; callers merging many files get retry coverage by loading
-  /// each file through this overload.
-  static std::optional<ProfileFile> loadFromFile(const std::string &Path,
-                                                 DiagnosticEngine *Diags,
-                                                 const RetryPolicy &Retry,
-                                                 ObsSink *Obs = nullptr);
+  /// Reads \p Path and deserializes. Only the IO is retried per \p Retry
+  /// (injected io.fail, failed open, read error): corruption found by
+  /// deserialize() is a permanent failure that no retry can fix, so it
+  /// surfaces immediately. Fault-injection site: io.fail.
+  static std::optional<ProfileFile>
+  loadFromFile(const std::string &Path, DiagnosticEngine *Diags,
+               const RetryPolicy &Retry = RetryPolicy(),
+               ObsSink *Obs = nullptr);
 
   /// Accumulates \p Other into this profile. Requires matching program
   /// fingerprint and mode (false + error otherwise). Sections match by
   /// name; a section of \p Other that is invalid, unknown here, or shaped
   /// differently (fingerprint / counter count) is skipped with a warning.
-  /// Sums saturate at SaturationLimit with a once-per-function warning.
+  /// Sums saturate at CounterSaturationLimit with a once-per-function
+  /// warning.
   bool merge(const ProfileFile &Other, DiagnosticEngine *Diags);
 
   uint32_t version() const { return Version; }

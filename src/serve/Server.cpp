@@ -255,7 +255,9 @@ ServeCore::buildEntry(const std::string &Name, std::string Source,
   }
 
   EstimatorOptions EOpts(Entry->Diags);
-  EOpts.jobs(Opts.Jobs).onDeadline(Opts.OnDeadline);
+  // Serial sessions: parallelism across requests comes from the
+  // connection threads, not from fanning out every session's passes.
+  EOpts.jobs(1).onDeadline(Opts.OnDeadline);
   EOpts.mode(static_cast<ProfileMode>(Mode))
       .loopVariance(static_cast<LoopVarianceMode>(LoopVariance))
       .onBadProfile(static_cast<BadProfilePolicy>(OnBadProfile));

@@ -75,10 +75,6 @@ public:
 
 /// Daemon-wide configuration shared by every session ServeCore creates.
 struct ServeOptions {
-  /// Worker threads per session's pool (0 = hardware concurrency). The
-  /// daemon keeps this small: parallelism across requests comes from the
-  /// connection threads, not from fanning out every session's passes.
-  unsigned Jobs = 1;
   /// Global budget on the memory heuristic summed over resident sessions.
   uint64_t MemoryBudgetBytes = 256ull << 20;
   /// Hard cap on resident sessions regardless of the byte budget.

@@ -87,7 +87,7 @@ void EstimationSession::accumulateTotalsLocked(const Function &F,
   // values themselves must be sane counts.
   for (const auto &[Cond, Total] : Delta.Cond) {
     if (std::isfinite(Total) && Total >= 0.0 &&
-        Total <= ProfileFile::SaturationLimit)
+        Total <= CounterSaturationLimit)
       continue;
     std::string Issue =
         "externally accumulated totals are non-finite, negative or "
@@ -129,11 +129,11 @@ void EstimationSession::noteExternalSaturation(const Function &F) {
 
 uint64_t EstimationSession::inputKeyOf(const Function &F,
                                        const FrequencyTotals &Totals) const {
-  // The structural part is the program database's fingerprint; the data
+  // The structural part is the profile file's fingerprint; the data
   // part folds in the accumulated condition totals and loop-frequency
   // moments. Any input TimeAnalysis can observe is covered, so equal keys
   // mean a function's summary is reusable verbatim.
-  uint64_t H = ProgramDatabase::structuralFingerprint(Est->analysis().of(F));
+  uint64_t H = structuralFingerprintOf(Est->analysis().of(F));
   auto Mix = [&H](uint64_t V) {
     H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
   };
@@ -214,7 +214,7 @@ void EstimationSession::degradeForDeadline(const Function &F,
   // Static frequencies depend only on structure; the salt keeps the key
   // distinct from both profiled and quarantined keys.
   InputState &In = Inputs[&F];
-  In.Key = ProgramDatabase::structuralFingerprint(Est->analysis().of(F)) ^
+  In.Key = structuralFingerprintOf(Est->analysis().of(F)) ^
            0x4445475241ULL; // "DEGRA"
   FreqsByFunction[&F] = computeStaticFrequencies(Est->analysis().of(F)).Freqs;
   if (ObsRegistry *Obs = Opts.Obs.Registry)
@@ -236,7 +236,7 @@ std::string EstimationSession::refreshFunction(const Function &F,
     // key is the structural fingerprint salted to never collide with a
     // profiled key.
     uint64_t Key =
-        ProgramDatabase::structuralFingerprint(Est->analysis().of(F)) ^
+        structuralFingerprintOf(Est->analysis().of(F)) ^
         0x5155415241ULL; // "QUARA"
     if (In.Key != Key || !FreqsByFunction.count(&F)) {
       In.Key = Key;
@@ -714,7 +714,7 @@ EstimationSession::ingestProfileLocked(const ProfileFile &PF) {
     }
     bool ValuesOk = true;
     for (double C : S.Counters)
-      if (!std::isfinite(C) || C < 0.0 || C > ProfileFile::SaturationLimit) {
+      if (!std::isfinite(C) || C < 0.0 || C > CounterSaturationLimit) {
         Reject("counter values are non-finite, negative or overflowed");
         ValuesOk = false;
         break;

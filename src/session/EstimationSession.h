@@ -12,9 +12,9 @@
 /// TimeAnalysis only over the functions whose inputs actually changed.
 ///
 /// Every function's cached summary is keyed by the structural fingerprint
-/// the program database already uses (ProgramDatabase::
-/// structuralFingerprint) mixed with a hash of its accumulated condition
-/// totals and loop-frequency moments; every cached analysis additionally
+/// profile files bind their sections to (structuralFingerprintOf) mixed
+/// with a hash of its accumulated condition totals and loop-frequency
+/// moments; every cached analysis additionally
 /// remembers the exact cost model and loop-variance mode it was computed
 /// under. A query after new profiled runs therefore invalidates only the
 /// functions whose totals changed — plus their call-graph ancestors,
@@ -57,7 +57,6 @@
 
 #include "cost/Estimator.h"
 #include "durable/Snapshot.h"
-#include "pdb/ProgramDatabase.h"
 
 #include <map>
 #include <memory>
@@ -196,7 +195,9 @@ public:
 
   /// Snapshots the session's accumulated counter runtime and loop moments
   /// as a durable profile (external deltas are not counter-representable
-  /// and are not included).
+  /// and are not included). Loop moments folded in by ingestProfile() are
+  /// included, so a capture that must hold only this session's own runs
+  /// has to be taken before any ingest.
   ProfileFile captureProfile() const;
 
   /// captureProfile() + ProfileFile::saveToFile, through the session's

@@ -3,6 +3,7 @@
 # valid JSON carrying the expected span names and that the stats tables
 # (session and thread-pool counters included) reach stdout, and that the
 # strict numeric-flag parsing rejects garbage with an actionable message.
+# It also byte-compares the profile files --profile-out and --pdb write.
 # Invoked by CTest as:
 #
 #   cmake -DESTIMATOR=<path> -DWORK_DIR=<dir> -P StatsSmoke.cmake
@@ -142,7 +143,7 @@ execute_process(
   ERROR_VARIABLE COMBO_ERR
   RESULT_VARIABLE COMBO_RC)
 if(NOT COMBO_RC EQUAL 0)
-  message(FATAL_ERROR "--profile-in with --sampling/--pdb/--freq failed: "
+  message(FATAL_ERROR "--profile-in with --sampling, --pdb and --freq failed: "
                       "${COMBO_ERR}")
 endif()
 foreach(EXPECTED "ingested" "sampling profile" "program database"
@@ -152,5 +153,72 @@ foreach(EXPECTED "ingested" "sampling profile" "program database"
       "combined --profile-in run printed no '${EXPECTED}': ${COMBO_OUT}")
   endif()
 endforeach()
+
+function(run_estimator LABEL)
+  execute_process(
+    COMMAND ${ESTIMATOR} ${ARGN}
+    OUTPUT_QUIET
+    ERROR_VARIABLE RUN_ERR
+    RESULT_VARIABLE RUN_RC)
+  if(NOT RUN_RC EQUAL 0)
+    message(FATAL_ERROR "${LABEL} failed (rc=${RUN_RC}): ${RUN_ERR}")
+  endif()
+endfunction()
+
+function(expect_same_file LABEL EXPECTED ACTUAL)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${EXPECTED} ${ACTUAL}
+    RESULT_VARIABLE SAME_RC)
+  if(NOT SAME_RC EQUAL 0)
+    message(FATAL_ERROR "${LABEL}: ${ACTUAL} differs from ${EXPECTED}")
+  endif()
+endfunction()
+
+# Regression: --profile-out saves this invocation's runs only. Loop
+# moments ingested through --profile-in used to leak into the saved file
+# (counters from one run, moments from two), so a one-run profile re-saved
+# after ingesting itself was not the same file.
+run_estimator("--profile-out" --workload=loops
+              --profile-out=${WORK_DIR}/own_a.ptpf)
+run_estimator("--profile-in + --profile-out" --workload=loops
+              --profile-in=${WORK_DIR}/own_a.ptpf
+              --profile-out=${WORK_DIR}/own_b.ptpf)
+expect_same_file("--profile-out after --profile-in"
+                 ${WORK_DIR}/own_a.ptpf ${WORK_DIR}/own_b.ptpf)
+
+# --pdb accumulates exactly: two one-run invocations leave the same bytes
+# as one two-run --profile-out.
+file(REMOVE ${WORK_DIR}/pdb_twice.ptpf)
+foreach(PASS 1 2)
+  run_estimator("--pdb pass ${PASS}" --workload=loops
+                --pdb=${WORK_DIR}/pdb_twice.ptpf)
+endforeach()
+run_estimator("--runs=2 --profile-out" --workload=loops --runs=2
+              --profile-out=${WORK_DIR}/runs_two.ptpf)
+expect_same_file("two --pdb runs" ${WORK_DIR}/runs_two.ptpf
+                 ${WORK_DIR}/pdb_twice.ptpf)
+
+# A damaged section of a --pdb database is reported and replaced by this
+# invocation's section. Seed 1 flips a byte in one section's payload as
+# the first save writes it; the second run must heal the file, so a strict
+# ingest of the result succeeds.
+file(REMOVE ${WORK_DIR}/pdb_heal.ptpf)
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env PTRAN_FAULT=seed=1,profile.flip=1
+          ${ESTIMATOR} --workload=loops --pdb=${WORK_DIR}/pdb_heal.ptpf
+  OUTPUT_QUIET
+  ERROR_QUIET)
+execute_process(
+  COMMAND ${ESTIMATOR} --workload=loops --pdb=${WORK_DIR}/pdb_heal.ptpf
+  OUTPUT_QUIET
+  ERROR_VARIABLE HEAL_ERR
+  RESULT_VARIABLE HEAL_RC)
+if(NOT HEAL_RC EQUAL 0 OR NOT HEAL_ERR MATCHES "section checksum mismatch")
+  message(FATAL_ERROR
+    "--pdb over a damaged section (rc=${HEAL_RC}): ${HEAL_ERR}")
+endif()
+run_estimator("strict ingest of the healed database" --workload=loops
+              --runs=0 --profile-in=${WORK_DIR}/pdb_heal.ptpf
+              --on-bad-profile=fail)
 
 message(STATUS "observability smoke test passed")

@@ -261,12 +261,12 @@ TEST(ProfileFile, MergeSaturatesAtTwoToTheFiftyThree) {
   ProfileFile B = captureOf(*E2, 1);
   ASSERT_FALSE(A.sections().empty());
   ASSERT_FALSE(A.sections()[0].Counters.empty());
-  A.sectionsMutable()[0].Counters[0] = ProfileFile::SaturationLimit - 1.0;
-  B.sectionsMutable()[0].Counters[0] = ProfileFile::SaturationLimit - 1.0;
+  A.sectionsMutable()[0].Counters[0] = CounterSaturationLimit - 1.0;
+  B.sectionsMutable()[0].Counters[0] = CounterSaturationLimit - 1.0;
 
   DiagnosticEngine MD;
   ASSERT_TRUE(A.merge(B, &MD));
-  EXPECT_EQ(A.sections()[0].Counters[0], ProfileFile::SaturationLimit);
+  EXPECT_EQ(A.sections()[0].Counters[0], CounterSaturationLimit);
   bool Warned = false;
   for (const Diagnostic &D : MD.diagnostics())
     Warned |= D.Message.find("saturated") != std::string::npos;

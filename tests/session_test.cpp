@@ -543,7 +543,7 @@ TEST(EstimationSession, RepeatedValidDeltasSaturateAtTwoPow53) {
   ASSERT_NE(LeafA, nullptr);
 
   FrequencyTotals Limit = invocationDelta(*S, *LeafA);
-  Limit.Cond.begin()->second = ProfileFile::SaturationLimit;
+  Limit.Cond.begin()->second = CounterSaturationLimit;
   S->accumulateTotals(*LeafA, Limit);
   S->accumulateTotals(*LeafA, Limit);
   Ref->accumulateTotals(*LeafA, Limit);

@@ -25,8 +25,8 @@
 //   --profile-out=FILE      save the accumulated counters + loop moments
 //                           as a durable, checksummed profile file
 //   --profile-in=FILE       validate and ingest a saved profile before
-//                           estimating (adds to this invocation's runs,
-//                           and to a --pdb database's totals)
+//                           estimating (adds to this invocation's runs;
+//                           --profile-out and --pdb save only those runs)
 //   --on-bad-profile=fail|quarantine   what to do with functions whose
 //                           profile data fails validation (default
 //                           quarantine: degrade them to static
@@ -39,15 +39,18 @@
 //   --io-retries=N          retry transient profile-file IO failures up
 //                           to N times with exponential backoff
 //   --dot=cfg|ecfg|fcdg     Graphviz of the entry procedure's graph
-//   --pdb=FILE              load/accumulate/save a program database
+//   --pdb=FILE              program database: ingest the profile FILE
+//                           holds, then save it back with this
+//                           invocation's runs added (same format as
+//                           --profile-out)
 //   --trace=FILE            write a Chrome trace_event JSON of the run
 //   --stats                 print timing-span / counter tables at exit
 //   --version               print the version and exit
 //   --help                  print this option summary and exit
 //
 // Every invocation is one EstimationSession: the tool parses flags, feeds
-// the session (profiled runs, a saved profile, a program database's
-// totals) and prints what the session estimated.
+// the session (profiled runs, a saved profile, a program database) and
+// prints what the session estimated.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +59,6 @@
 #include "obs/Observability.h"
 #include "profile/ConsistencyCheck.h"
 #include "parser/Parser.h"
-#include "pdb/ProgramDatabase.h"
 #include "profile/SamplingProfile.h"
 #include "sched/ChunkScheduling.h"
 #include "session/EstimationSession.h"
@@ -141,7 +143,8 @@ const char *const UsageText =
     "  --on-deadline=fail|degrade   deadline policy (default fail)\n"
     "  --io-retries=N          retries for transient profile IO failures\n"
     "  --dot=cfg|ecfg|fcdg     Graphviz of the entry procedure's graph\n"
-    "  --pdb=FILE              load/accumulate/save a program database\n"
+    "  --pdb=FILE              program database: ingest FILE, save it back\n"
+    "                          with this invocation's runs added\n"
     "  --trace=FILE            write a Chrome trace_event JSON of the run\n"
     "  --stats                 print timing-span / counter tables at exit\n"
     "  --version               print the version and exit\n"
@@ -499,43 +502,58 @@ void printPlansAndDot(const Options &Opts, const Program &Prog,
   }
 }
 
-/// Program-database round trip: folds the totals \p Path holds into the
-/// session, then adds this invocation's recovered totals to the database
-/// and saves it. A missing file starts an empty database; an unreadable
-/// one is reported and replaced. False when the save fails (the previous
-/// database is then left intact).
-bool roundTripProgramDatabase(const std::string &Path, const Program &Prog,
-                              EstimationSession &Session) {
-  const Estimator &Est = Session.estimator();
+/// Program-database round trip on the PTPF profile format: ingests the
+/// profile \p Path holds into the session, then saves it back with \p Own
+/// (this invocation's runs) merged in. A missing file starts a fresh
+/// database; one that fails to load, or that the session rejects whole
+/// (another program or --mode), is reported on stderr and replaced by
+/// \p Own. A damaged stored section is replaced by this invocation's.
+/// When the deadline cut the ingest short, the file is left as it was.
+/// False when the save fails (the previous file is then left intact).
+bool roundTripDatabase(const std::string &Path, const ProfileFile &Own,
+                       EstimationSession &Session, const CancelToken &Token,
+                       const RetryPolicy &IoRetry, ObsRegistry *Obs) {
   DiagnosticEngine Diags;
-  ProgramDatabase Db;
+  ProfileFile Db = Own;
   struct stat St;
   if (::stat(Path.c_str(), &St) == 0) {
-    if (auto Loaded = ProgramDatabase::loadFromFile(Path, Diags))
-      Db = std::move(*Loaded);
+    std::optional<ProfileFile> Stored =
+        ProfileFile::loadFromFile(Path, &Diags, IoRetry, Obs);
+    ProfileIngestReport Report;
+    if (Stored)
+      Report = Session.ingestProfile(*Stored);
     else
-      std::fprintf(stderr, "ignoring unreadable program database:\n%s",
-                   Diags.str().c_str());
-  }
-  for (const auto &F : Prog.functions()) {
-    const FunctionAnalysis &FA = Est.analysis().of(*F);
-    FrequencyTotals Stored = Db.totalsFor(FA);
-    if (Stored.Ok)
-      Session.accumulateTotals(*F, Stored);
-    Db.accumulateTotals(FA, Est.totalsFor(*F));
-  }
-  Db.noteRunCompleted();
-  if (!Db.saveToFile(Path, Diags)) {
+      Report.Error = "it does not load as a profile";
     std::fprintf(stderr, "%s", Diags.str().c_str());
-    return false;
+    Diags.clear();
+    for (const std::string &Finding : Report.Findings)
+      std::fprintf(stderr, "program database %s: %s\n", Path.c_str(),
+                   Finding.c_str());
+    if (Stored && !Report.Ok && Token.expired()) {
+      std::fprintf(stderr, "program database %s left unchanged: %s\n",
+                   Path.c_str(), Report.Error.c_str());
+      return true;
+    }
+    if (!Report.Ok) {
+      std::fprintf(stderr, "program database %s replaced: %s\n",
+                   Path.c_str(), Report.Error.c_str());
+    } else {
+      // Own.merge(Stored), not the reverse: merge skips a section that is
+      // invalid on either side, and only this order lets the fresh
+      // section replace a damaged stored one instead of keeping it.
+      Db.merge(*Stored, &Diags);
+    }
   }
-  std::printf("program database %s now covers %u accumulation(s)\n\n",
-              Path.c_str(), Db.runsRecorded());
-  return true;
+  bool Saved = Db.saveToFile(Path, &Diags, IoRetry, Obs);
+  std::fprintf(stderr, "%s", Diags.str().c_str());
+  if (Saved)
+    std::printf("program database %s now covers %u accumulation(s)\n\n",
+                Path.c_str(), Db.runs());
+  return Saved;
 }
 
 /// The whole invocation: one EstimationSession owns the runs, the ingested
-/// profile, the database totals and the analysis; the tool only prints.
+/// profiles and the analysis; the tool only prints.
 int runEstimation(const Options &Opts, const Program &Prog,
                   const CostModel &CM, ObsRegistry *Obs) {
   DiagnosticEngine Diags;
@@ -593,6 +611,13 @@ int runEstimation(const Options &Opts, const Program &Prog,
   if (Sampler)
     std::printf("%s\n", Sampler->report().c_str());
 
+  // This invocation's own profile, captured before any ingest folds other
+  // runs' loop moments into the session: --profile-out saves it and --pdb
+  // adds it to the database.
+  std::optional<ProfileFile> Own;
+  if (!Opts.ProfileOut.empty() || !Opts.PdbFile.empty())
+    Own = Session->captureProfile();
+
   // Ingest a saved profile before any estimate: an unreadable file is a
   // hard error under either policy (there is nothing to degrade to — the
   // whole input is gone), per-section problems follow the policy.
@@ -618,12 +643,12 @@ int runEstimation(const Options &Opts, const Program &Prog,
   int Rc = 0;
   if (!Opts.ProfileOut.empty()) {
     DiagnosticEngine SaveDiags;
-    if (!Session->saveProfile(Opts.ProfileOut, &SaveDiags)) {
+    if (!Own->saveToFile(Opts.ProfileOut, &SaveDiags, IoRetry, Obs)) {
       std::fprintf(stderr, "%s", SaveDiags.str().c_str());
       Rc = 1;
     } else {
       std::printf("profile saved to %s (%u run(s))\n\n",
-                  Opts.ProfileOut.c_str(), Session->runsExecuted());
+                  Opts.ProfileOut.c_str(), Own->runs());
     }
   }
 
@@ -637,7 +662,7 @@ int runEstimation(const Options &Opts, const Program &Prog,
     Rc = 1;
 
   if (!Opts.PdbFile.empty() &&
-      !roundTripProgramDatabase(Opts.PdbFile, Prog, *Session))
+      !roundTripDatabase(Opts.PdbFile, *Own, *Session, Token, IoRetry, Obs))
     Rc = 1;
 
   EstimateResult Res = Session->estimateEntry();

@@ -60,7 +60,6 @@ ptran-bench-client for a load generator speaking the same protocol.
 options:
   --socket=PATH          socket path to listen on (required)
   --jobs=N               request worker threads (default 0 = all cores)
-  --session-jobs=N       worker threads inside each session (default 1)
   --queue-limit=N        max in-flight requests before shedding (default 128)
   --memory-budget-mb=N   resident-session memory budget (default 256)
   --max-sessions=N       resident-session count cap (default 64)
@@ -101,7 +100,6 @@ options:
 struct Options {
   std::string SocketPath;
   unsigned Jobs = 0;
-  unsigned SessionJobs = 1;
   unsigned QueueLimit = 128;
   uint64_t MemoryBudgetMb = 256;
   unsigned MaxSessions = 64;
@@ -147,11 +145,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!N)
         return Invalid("--jobs", *V, "an unsigned integer");
       Opts.Jobs = *N;
-    } else if (auto V = Value(Arg, "--session-jobs=")) {
-      std::optional<unsigned> N = parseUnsigned(*V);
-      if (!N)
-        return Invalid("--session-jobs", *V, "an unsigned integer");
-      Opts.SessionJobs = *N;
     } else if (auto V = Value(Arg, "--queue-limit=")) {
       std::optional<unsigned> N = parseUnsigned(*V);
       if (!N || *N == 0)
@@ -414,7 +407,6 @@ int main(int Argc, char **Argv) {
     Shipper = std::make_unique<repl::JournalShipper>(ShipOpts);
   }
   ServeOptions SOpts;
-  SOpts.Jobs = Opts.SessionJobs;
   SOpts.MemoryBudgetBytes = Opts.MemoryBudgetMb << 20;
   SOpts.MaxSessions = Opts.MaxSessions;
   SOpts.OnDeadline = Opts.OnDeadline;
