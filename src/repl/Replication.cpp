@@ -73,7 +73,13 @@ unsigned JournalShipper::subscriberCount() const {
   return N;
 }
 
-void JournalShipper::onAppend(uint64_t) { AppendCv.notify_all(); }
+void JournalShipper::onAppend(uint64_t) {
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    ++AppendSeq;
+  }
+  AppendCv.notify_all();
+}
 
 uint64_t JournalShipper::minSubscriberLsn() {
   std::lock_guard<std::mutex> L(Mu);
@@ -102,7 +108,7 @@ bool JournalShipper::waitDurable(uint64_t Lsn) {
       if (S->Dead.load(std::memory_order_acquire))
         continue;
       AnyLive = true;
-      if (S->DurableLsn.load(std::memory_order_acquire) >= Lsn)
+      if (S->DurableLsn >= Lsn)
         return true;
     }
     return !AnyLive;
@@ -111,8 +117,8 @@ bool JournalShipper::waitDurable(uint64_t Lsn) {
 }
 
 void JournalShipper::stop() {
-  StopFlag.store(true, std::memory_order_release);
   std::lock_guard<std::mutex> L(Mu);
+  StopFlag.store(true, std::memory_order_release);
   for (const auto &S : Subs)
     if (!S->Dead.exchange(true))
       ::shutdown(S->Fd, SHUT_RDWR); // Unblocks the ack reader's recv.
@@ -185,18 +191,22 @@ void JournalShipper::runSubscription(int Fd,
         break;
       if (M.Verb != "repl-ack")
         continue;
-      if (std::optional<uint64_t> A = parseU64(M.param("applied-lsn")))
-        Sub->AppliedLsn.store(*A, std::memory_order_release);
-      if (std::optional<uint64_t> D = parseU64(M.param("durable-lsn")))
-        Sub->DurableLsn.store(*D, std::memory_order_release);
+      if (std::optional<uint64_t> D = parseU64(M.param("durable-lsn"))) {
+        std::lock_guard<std::mutex> L(Mu);
+        Sub->DurableLsn = *D;
+      }
       AckCv.notify_all();
       bump("repl.acks_received");
       if (FaultInjection::maybeCrashAt("repl.ack"))
         FaultInjection::dieAtCrashPoint();
     }
-    Sub->Dead.store(true, std::memory_order_release);
     // A dead subscriber must release ack=always waiters immediately —
-    // they re-evaluate liveness and degrade instead of timing out.
+    // they re-evaluate liveness and degrade instead of timing out — and
+    // its shipper loop, which may be parked on AppendCv.
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      Sub->Dead.store(true, std::memory_order_release);
+    }
     AckCv.notify_all();
     AppendCv.notify_all();
   });
@@ -222,6 +232,13 @@ void JournalShipper::runSubscription(int Fd,
       NeedBootstrap = false;
       continue;
     }
+    // Sampled before the read: an append that readFrames misses bumps
+    // the sequence past Seen, so the AtEnd wait below returns at once.
+    uint64_t Seen;
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      Seen = AppendSeq;
+    }
     Raw.clear();
     uint32_t Count = 0;
     uint64_t First = Cursor.NextLsn;
@@ -246,11 +263,12 @@ void JournalShipper::runSubscription(int Fd,
       break;
     }
     case durable::DeltaJournal::ReadResult::AtEnd: {
-      // Caught up: sleep until journalAppend wakes us (or poll — a missed
-      // notify costs one tick, not a hang).
+      // Caught up: sleep until the next onAppend, stop() or the ack
+      // reader's exit. Each changes its state under Mu before notifying,
+      // so the untimed wait cannot miss one.
       std::unique_lock<std::mutex> L(Mu);
-      AppendCv.wait_for(L, std::chrono::milliseconds(100), [&] {
-        return StopFlag.load(std::memory_order_acquire) ||
+      AppendCv.wait(L, [&] {
+        return AppendSeq != Seen || StopFlag.load(std::memory_order_acquire) ||
                Sub->Dead.load(std::memory_order_acquire);
       });
       break;
@@ -271,8 +289,11 @@ void JournalShipper::runSubscription(int Fd,
     }
   }
 
-  if (!Sub->Dead.exchange(true))
-    ::shutdown(Fd, SHUT_RDWR); // Unblock the ack reader.
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    if (!Sub->Dead.exchange(true))
+      ::shutdown(Fd, SHUT_RDWR); // Unblock the ack reader.
+  }
   AckCv.notify_all();
   AckReader.join();
   std::lock_guard<std::mutex> L(Mu);

@@ -35,6 +35,20 @@
 /// the LSN fsynced — no acknowledged mutation can be lost to a single
 /// machine failure.
 ///
+/// Wake protocol (no poll anywhere): every journal append calls onAppend,
+/// which bumps AppendSeq. A subscription loop samples AppendSeq before it
+/// reads the journal; when the read finds nothing new it waits, untimed,
+/// until AppendSeq moves past that sample, stop() is called, or its ack
+/// reader marks the subscriber dead. The ack reader likewise records each
+/// ack under Mu before it wakes durability waiters. The rule that makes
+/// an untimed wait safe: every wake source changes its state under Mu
+/// before it notifies, so a waiter either sees the change in its
+/// predicate or is already asleep when the notify arrives. On a standby
+/// the journal grows only through ServeCore::applyReplicatedBatch, which
+/// calls onAppend too, so a standby's own subscribers (a chained
+/// standby) are woken by each applied batch. The only timed wait left is
+/// waitDurable's AckWaitMs bound.
+///
 /// Fault-injection points: crash.at=repl.ship dies right after a frame
 /// batch is sent; crash.at=repl.snapshot dies mid-bootstrap (after the
 /// first snapshot message); crash.at=repl.ack dies after an ack is
@@ -131,8 +145,9 @@ private:
     /// Next journal LSN this subscriber needs (checkpoint keeps the
     /// journal un-rotated below it).
     std::atomic<uint64_t> NextLsn{~0ull};
-    std::atomic<uint64_t> AppliedLsn{0};
-    std::atomic<uint64_t> DurableLsn{0};
+    /// Latest LSN the standby acked fsynced (guarded by Mu).
+    uint64_t DurableLsn = 0;
+    /// Written only under Mu; read lock-free by the subscription loop.
     std::atomic<bool> Dead{false};
   };
 
@@ -143,14 +158,17 @@ private:
 
   Options O;
 
-  /// Guards Subs and backs both CVs. Never taken while holding a
-  /// ServeCore lock is NOT required here — the reverse: ServeCore calls
-  /// in (onAppend/waitDurable) while holding ITS locks, so nothing under
-  /// Mu may call back into ServeCore.
+  /// Guards Subs, AppendSeq, the subscriptions' acked LSNs and every
+  /// write of Dead and StopFlag, and backs both CVs. ServeCore calls in
+  /// (onAppend/waitDurable) while holding ITS locks, so nothing under Mu
+  /// may call back into ServeCore.
   mutable std::mutex Mu;
   std::condition_variable AppendCv; ///< journal grew; shippers re-read.
   std::condition_variable AckCv;    ///< an ack landed; durability waits.
   std::vector<std::shared_ptr<Subscription>> Subs;
+  /// Bumped by every onAppend (guarded by Mu).
+  uint64_t AppendSeq = 0;
+  /// Written only under Mu; read lock-free by the subscription loops.
   std::atomic<bool> StopFlag{false};
 };
 

@@ -71,7 +71,7 @@ bool StandbyReplicator::start(std::string &Error) {
                  markerPath().c_str());
     O.Core->clearAllSessions();
     std::string ResetErr;
-    if (!O.Store->journal().resetTo(1, ResetErr)) {
+    if (!O.Core->resetReplicatedJournal(1, ResetErr)) {
       Error = "cannot reset journal after torn bootstrap: " + ResetErr;
       return false;
     }
@@ -201,7 +201,7 @@ bool StandbyReplicator::applyBootstrap(int Fd,
   // sessions, and the journal restarts at the watermark the images cover.
   std::string Error;
   if (!O.Store->pruneSnapshotsExcept(Received, Error) ||
-      !O.Store->journal().resetTo(*Watermark + 1, Error)) {
+      !O.Core->resetReplicatedJournal(*Watermark + 1, Error)) {
     std::fprintf(stderr, "ptran-serve: bootstrap finalization failed: %s\n",
                  Error.c_str());
     return false;

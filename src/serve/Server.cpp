@@ -1203,6 +1203,15 @@ void ServeCore::clearAllSessions() {
   TotalBytes = 0;
 }
 
+bool ServeCore::resetReplicatedJournal(uint64_t FirstLsn,
+                                       std::string &Error) {
+  if (!Opts.Store->journal().resetTo(FirstLsn, Error))
+    return false;
+  if (Opts.Repl)
+    Opts.Repl->onAppend(FirstLsn - 1);
+  return true;
+}
+
 bool ServeCore::applyReplicatedBatch(const uint8_t *Frames, size_t Len,
                                      uint64_t FirstLsn, uint32_t Count,
                                      bool Sync, uint64_t &AppliedLsn,
@@ -1239,6 +1248,11 @@ bool ServeCore::applyReplicatedBatch(const uint8_t *Frames, size_t Len,
   if (FaultInjection::maybeCrashAt("repl.apply"))
     FaultInjection::dieAtCrashPoint();
   AppliedLsn = FirstLsn + Count - 1;
+  // A standby started with --state-dir serves its own subscribers (a
+  // chained standby); this is the only way its journal grows, so it is
+  // the only thing that can wake that shipper.
+  if (Opts.Repl)
+    Opts.Repl->onAppend(AppliedLsn);
   bump("repl.batches_applied");
   bump("repl.records_applied", Count);
   return true;

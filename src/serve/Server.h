@@ -62,7 +62,8 @@ namespace serve {
 class ReplicationHooks {
 public:
   virtual ~ReplicationHooks() = default;
-  /// A record with \p Lsn just landed in the journal; wake shippers.
+  /// The journal grew (its last LSN is now \p Lsn) or was reset under
+  /// a standby bootstrap; wake shippers.
   virtual void onAppend(uint64_t Lsn) = 0;
   /// Block until some subscriber reports \p Lsn durable (or a bounded
   /// timeout / no-subscriber fallthrough). True = acknowledged durable.
@@ -205,6 +206,12 @@ public:
   /// Standby bootstrap: forgets every resident session without journaling
   /// (the bootstrap replaces the whole registry).
   void clearAllSessions();
+
+  /// Standby bootstrap: restarts the journal at \p FirstLsn (the adopted
+  /// watermark + 1) and wakes this daemon's own subscribers, whose
+  /// cursors the reset strands, so they re-bootstrap from it. False with
+  /// \p Error on IO failure.
+  bool resetReplicatedJournal(uint64_t FirstLsn, std::string &Error);
 
   /// Standby apply path: journals \p Len bytes of primary frames
   /// write-ahead (validated byte-for-byte, LSNs [FirstLsn, FirstLsn+

@@ -30,6 +30,7 @@ set(CASES
   "check|--workload=loops --check"
   "views|input.f --statements=main --annotate=work --chunk=4,10 --plan --dot=fcdg"
   "mode_naive|--workload=loops --mode=naive"
+  "mode_naive_pdb|--workload=loops --mode=naive --pdb=naive.db"
   "loop_variance_geometric|--workload=loops --loop-variance=geometric"
   "loop_variance_profiled|--workload=loops --runs=2 --loop-variance=profiled --jobs=2"
   "profile_out|input.f --runs=3 --profile-out=golden.ptpf"
@@ -98,6 +99,19 @@ endif()
 if(NOT BADFLAG_ERR MATCHES "unknown option '--no-such-flag'")
   message(FATAL_ERROR
     "unknown-flag diagnostic is not actionable: ${BADFLAG_ERR}")
+endif()
+
+# The mode_naive_pdb case must be a usage error that names the conflict
+# and leaves no database behind (naive mode used to skip --pdb silently).
+execute_process(
+  COMMAND ${ESTIMATOR} --workload=loops --mode=naive --pdb=naive.db
+  WORKING_DIRECTORY ${WORK_DIR}
+  ERROR_VARIABLE NAIVE_PDB_ERR
+  RESULT_VARIABLE NAIVE_PDB_RC)
+if(NAIVE_PDB_RC EQUAL 0 OR NOT NAIVE_PDB_ERR MATCHES "--pdb does not work with --mode=naive"
+   OR EXISTS ${WORK_DIR}/naive.db)
+  message(FATAL_ERROR
+    "--mode=naive --pdb is not rejected: rc=${NAIVE_PDB_RC} ${NAIVE_PDB_ERR}")
 endif()
 
 list(LENGTH CASES NUM_CASES)

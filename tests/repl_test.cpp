@@ -32,11 +32,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -698,6 +700,8 @@ struct FakePrimary {
   JournalShipper Shipper;
   std::vector<std::thread> Threads;
   std::mutex Mu;
+  /// runSubscription calls that have returned.
+  std::atomic<unsigned> Finished{0};
 
   explicit FakePrimary(const JournalShipper::Options &O) : Shipper(O) {}
   ~FakePrimary() {
@@ -719,6 +723,7 @@ struct FakePrimary {
       std::string Err;
       if (readFrame(Fd, Sub, Err) == 1 && Sub.Verb == "repl-subscribe")
         Shipper.runSubscription(Fd, Sub);
+      ++Finished;
       ::close(Fd);
     });
     return Sv[1];
@@ -827,10 +832,17 @@ TEST(LiveReplication, RotatedPrimaryBootstrapsTheStandby) {
   ASSERT_TRUE(StoreA && StoreB) << Error;
 
   ObsRegistry ObsA, ObsB;
+  // Wired like ptran-serve: the core's appends wake the shipper.
+  JournalShipper::Options ShipOpts;
+  ShipOpts.Store = StoreA.get();
+  ShipOpts.Obs = &ObsA;
+  FakePrimary Primary(ShipOpts);
   ServeOptions OptsA;
   OptsA.Store = StoreA.get();
   OptsA.Obs = &ObsA;
+  OptsA.Repl = &Primary.Shipper;
   ServeCore A(OptsA);
+  Primary.Shipper.setCore(&A);
   std::vector<std::vector<std::vector<std::string>>> RefAt;
   driveReference(A, StoreA->journal(), RefAt);
 
@@ -838,12 +850,6 @@ TEST(LiveReplication, RotatedPrimaryBootstrapsTheStandby) {
   // is gone, so a fresh subscriber can only be served by bootstrap.
   ASSERT_TRUE(A.checkpoint(Error)) << Error;
   ASSERT_EQ(StoreA->journal().sizeBytes(), 16u);
-
-  JournalShipper::Options ShipOpts;
-  ShipOpts.Store = StoreA.get();
-  ShipOpts.Core = &A;
-  ShipOpts.Obs = &ObsA;
-  FakePrimary Primary(ShipOpts);
 
   ServeOptions OptsB;
   OptsB.Store = StoreB.get();
@@ -876,6 +882,166 @@ TEST(LiveReplication, RotatedPrimaryBootstrapsTheStandby) {
   ASSERT_TRUE(
       waitFor([&] { return Standby.lastAppliedLsn() >= Watermark + 1; }));
   EXPECT_EQ(fingerprints(B), fingerprints(A));
+}
+
+namespace {
+
+/// A primary or standby daemon in one process: its store, its core, and
+/// the shipper its journal appends wake (wired like ptran-serve, whose
+/// --state-dir daemons always own one).
+struct Node {
+  TempDir Dir;
+  std::unique_ptr<StateStore> Store;
+  ObsRegistry Obs;
+  std::unique_ptr<FakePrimary> Ship;
+  std::unique_ptr<ServeCore> Core;
+
+  Node(AckMode Ack, unsigned AckWaitMs) {
+    std::string Error;
+    StateStore::Recovery Rec;
+    Store = StateStore::open(Dir.Path, FsyncPolicy::Never, Rec, Error);
+    EXPECT_TRUE(Store) << Error;
+    JournalShipper::Options ShipOpts;
+    ShipOpts.Store = Store.get();
+    ShipOpts.Ack = Ack;
+    ShipOpts.Obs = &Obs;
+    ShipOpts.AckWaitMs = AckWaitMs;
+    Ship = std::make_unique<FakePrimary>(ShipOpts);
+    ServeOptions Opts;
+    Opts.Store = Store.get();
+    Opts.Obs = &Obs;
+    Opts.Repl = &Ship->Shipper;
+    Core = std::make_unique<ServeCore>(Opts);
+    Ship->Shipper.setCore(Core.get());
+  }
+  ~Node() {
+    // The shipper threads may still call into the core: stop them first.
+    Ship.reset();
+    Core.reset();
+  }
+
+  /// Options for a standby of this node that replicates into \p Into.
+  StandbyReplicator::Options standbyOptions(Node &Into, AckMode Ack) {
+    StandbyReplicator::Options O;
+    O.Core = Into.Core.get();
+    O.Store = Into.Store.get();
+    O.Ack = Ack;
+    O.Obs = &Into.Obs;
+    O.Backoff = RetryPolicy().retries(1u << 30).baseDelay(
+        std::chrono::milliseconds(1));
+    O.Connect = [this](std::string &Err) { return Ship->connect(Err); };
+    return O;
+  }
+};
+
+void loadTiny(ServeCore &Core) {
+  WireMessage Load = makeRequest("load-program", "s0");
+  Load.Body = TinySource;
+  WireMessage Resp = Core.handle(Load);
+  ASSERT_EQ(Resp.Verb, "ok") << Resp.param("message");
+}
+
+} // namespace
+
+TEST(LiveReplication, AckedMutationsDoNotWaitOutAPollTick) {
+  // Under --repl-ack=always a mutation waits for the standby's fsync ack,
+  // and nothing else: the shipper wakes on the append itself. A shipper
+  // that sleeps until a timer tick instead holds every acked mutation for
+  // that tick (it was 100 ms), which the median below cannot hide.
+  Node A(AckMode::Always, 60000), B(AckMode::None, 5000);
+  loadTiny(*A.Core);
+  StandbyReplicator Standby(A.standbyOptions(B, AckMode::Always));
+  std::string Error;
+  ASSERT_TRUE(Standby.start(Error)) << Error;
+  uint64_t Tail = A.Store->journal().lastLsn();
+  ASSERT_TRUE(waitFor([&] { return Standby.lastAppliedLsn() >= Tail; }));
+  ASSERT_EQ(A.Ship->Shipper.subscriberCount(), 1u);
+
+  std::vector<double> Ms;
+  for (int I = 0; I < 30; ++I) {
+    auto Start = std::chrono::steady_clock::now();
+    ASSERT_EQ(A.Core->handle(makeRequest("run", "s0")).Verb, "ok");
+    Ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - Start)
+                     .count());
+  }
+  std::sort(Ms.begin(), Ms.end());
+  EXPECT_EQ(A.Obs.counterValue("repl.ack_timeouts"), 0u);
+  EXPECT_LT(Ms[Ms.size() / 2], 20.0)
+      << "median acked mutation took " << Ms[Ms.size() / 2] << " ms";
+  // Every run was acked durable by the standby, not degraded.
+  EXPECT_GE(Standby.lastAppliedLsn(), Tail + 30);
+  EXPECT_EQ(fingerprints(*B.Core), fingerprints(*A.Core));
+}
+
+TEST(LiveReplication, ChainedStandbyFollowsThroughBootstrapAndTraffic) {
+  // primary A -> standby B -> standby C. B's journal changes only through
+  // the replication apply path (a bootstrap reset, then shipped frames);
+  // each change must wake B's own shipper, or C, parked on it, never
+  // hears of them.
+  Node A(AckMode::Batch, 5000), B(AckMode::Batch, 5000),
+      C(AckMode::None, 5000);
+  std::vector<std::vector<std::vector<std::string>>> RefAt;
+  driveReference(*A.Core, A.Store->journal(), RefAt);
+  std::string Error;
+  ASSERT_TRUE(A.Core->checkpoint(Error)) << Error;
+  uint64_t Watermark = A.Store->journal().lastLsn();
+
+  // C subscribes first and parks on B's empty journal.
+  StandbyReplicator OnB(B.standbyOptions(C, AckMode::Batch));
+  ASSERT_TRUE(OnB.start(Error)) << Error;
+  ASSERT_TRUE(
+      waitFor([&] { return B.Ship->Shipper.subscriberCount() == 1; }));
+
+  // B bootstraps from the rotated A; the reset hands C a bootstrap too.
+  StandbyReplicator OnA(A.standbyOptions(B, AckMode::Batch));
+  ASSERT_TRUE(OnA.start(Error)) << Error;
+  ASSERT_TRUE(waitFor([&] { return OnB.lastAppliedLsn() >= Watermark; }))
+      << "C never bootstrapped from B (C at " << OnB.lastAppliedLsn()
+      << ", B at " << OnA.lastAppliedLsn() << ")";
+  EXPECT_EQ(fingerprints(*C.Core), RefAt.back());
+  EXPECT_GE(C.Obs.counterValue("repl.bootstraps_applied"), 1u);
+
+  // Live traffic on A crosses both hops as plain frames.
+  ASSERT_EQ(A.Core->handle(makeRequest("run", "s0")).Verb, "ok");
+  unsigned Leaf = leafIndex(*A.Core);
+  WireMessage Deltas = makeRequest("stream-deltas", "s0");
+  for (int I = 0; I < 8; ++I)
+    appendStreamRecord(Deltas.Body, Leaf, 0, 2.0);
+  Deltas.Params["flush"] = "1";
+  ASSERT_EQ(A.Core->handle(Deltas).Verb, "ok");
+  uint64_t Tail = A.Store->journal().lastLsn();
+  ASSERT_GT(Tail, Watermark);
+  ASSERT_TRUE(waitFor([&] { return OnB.lastAppliedLsn() >= Tail; }))
+      << "C stuck at " << OnB.lastAppliedLsn() << " of " << Tail;
+  EXPECT_EQ(fingerprints(*C.Core), fingerprints(*A.Core));
+  EXPECT_EQ(readFileBytes(C.Dir.Path + "/journal.ptwj"),
+            readFileBytes(A.Dir.Path + "/journal.ptwj"));
+}
+
+TEST(LiveReplication, IdleShipperLetsGoOfADisconnectedStandby) {
+  // The standby leaves while the primary is idle, so its shipper is
+  // parked waiting for an append. The ack reader's exit alone must end
+  // the subscription; the next acked mutation then finds no subscriber
+  // and completes at once, degraded, instead of waiting out AckWaitMs.
+  Node A(AckMode::Always, 60000), B(AckMode::None, 5000);
+  loadTiny(*A.Core);
+  StandbyReplicator Standby(A.standbyOptions(B, AckMode::Always));
+  std::string Error;
+  ASSERT_TRUE(Standby.start(Error)) << Error;
+  uint64_t Tail = A.Store->journal().lastLsn();
+  ASSERT_TRUE(waitFor([&] { return Standby.lastAppliedLsn() >= Tail; }));
+
+  Standby.stop();
+  ASSERT_TRUE(waitFor([&] { return A.Ship->Finished.load() == 1; }))
+      << "runSubscription did not return after the standby left";
+  EXPECT_EQ(A.Ship->Shipper.subscriberCount(), 0u);
+
+  auto Start = std::chrono::steady_clock::now();
+  ASSERT_EQ(A.Core->handle(makeRequest("run", "s0")).Verb, "ok");
+  EXPECT_LT(std::chrono::steady_clock::now() - Start,
+            std::chrono::milliseconds(1000));
+  EXPECT_EQ(A.Obs.counterValue("repl.ack_timeouts"), 0u);
 }
 
 //===--- standby divergence property (every shipped-journal prefix) --------===//

@@ -42,7 +42,7 @@
 //   --pdb=FILE              program database: ingest the profile FILE
 //                           holds, then save it back with this
 //                           invocation's runs added (same format as
-//                           --profile-out)
+//                           --profile-out; not with --mode=naive)
 //   --trace=FILE            write a Chrome trace_event JSON of the run
 //   --stats                 print timing-span / counter tables at exit
 //   --version               print the version and exit
@@ -144,7 +144,8 @@ const char *const UsageText =
     "  --io-retries=N          retries for transient profile IO failures\n"
     "  --dot=cfg|ecfg|fcdg     Graphviz of the entry procedure's graph\n"
     "  --pdb=FILE              program database: ingest FILE, save it back\n"
-    "                          with this invocation's runs added\n"
+    "                          with this invocation's runs added (not\n"
+    "                          with --mode=naive)\n"
     "  --trace=FILE            write a Chrome trace_event JSON of the run\n"
     "  --stats                 print timing-span / counter tables at exit\n"
     "  --version               print the version and exit\n"
@@ -325,6 +326,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opts, std::string &Error) {
   if (Opts.Runs == 0 && Opts.ProfileIn.empty()) {
     Error = "--runs=0 only makes sense with --profile-in (no runs and no "
             "profile leaves nothing to estimate from)";
+    return false;
+  }
+  if (Opts.Mode == ProfileMode::Naive && !Opts.PdbFile.empty()) {
+    Error = "--pdb does not work with --mode=naive (naive mode measures "
+            "basic blocks only and estimates nothing to accumulate)";
     return false;
   }
   return true;
