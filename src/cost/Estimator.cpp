@@ -29,10 +29,13 @@ std::unique_ptr<Estimator> Estimator::create(const Program &P,
   // DeadlinePolicy (the cancellation diagnostic is already on Diags).
   if (!Est->PA || !Est->PA->allOk())
     return nullptr;
-  AnalysisOptions Raw = AOpts;
-  Raw.ElideGotos = false;
-  Est->RawPA = ProgramAnalysis::compute(P, Diags, Raw);
-  if (!Est->RawPA || !Est->RawPA->allOk())
+  // Loop statistics follow run-time events on the goto-preserving CFGs;
+  // of those they keep only flat per-function tables.
+  {
+    TimingSpan Span(Opts.Obs.Registry, "analysis.loops");
+    Est->Stats = LoopFrequencyStats::build(P, Diags, Opts.Cancel);
+  }
+  if (!Est->Stats)
     return nullptr;
   {
     TimingSpan Span(Opts.Obs.Registry, "plan.counters");
@@ -40,7 +43,6 @@ std::unique_ptr<Estimator> Estimator::create(const Program &P,
   }
   Est->Runtime = std::make_unique<ProfileRuntime>(*Est->PA, Est->Plan, CM,
                                                   Opts.Obs.Registry);
-  Est->Stats = std::make_unique<LoopFrequencyStats>(*Est->RawPA);
   return Est;
 }
 

@@ -43,8 +43,10 @@ public:
   double BranchCost = 1.0;
   /// Cost of an unconditional GOTO. Zero by default: the analysis elides
   /// GOTO nodes into edges (recovering the paper's compact statement
-  /// CFGs), and a zero jump cost keeps the interpreter's clock consistent
-  /// with the estimates. Set it nonzero when analyzing with
+  /// CFGs), so no estimate charges a jump, and a zero jump cost keeps the
+  /// interpreter's clock consistent with the estimates. (LoopFrequencyStats
+  /// keeps GOTO nodes only to attribute run-time events to loops.) A
+  /// nonzero cost fits only an analysis with
   /// AnalysisOptions::ElideGotos = false.
   double GotoCost = 0.0;
   /// Per-execution overhead of a DO header (trip test + induction update,

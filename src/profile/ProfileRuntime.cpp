@@ -229,31 +229,62 @@ bool LoopFrequencyStats::FunctionLoops::bodyContains(unsigned Loop,
   return false;
 }
 
-LoopFrequencyStats::LoopFrequencyStats(const ProgramAnalysis &RawPA) {
-  for (const auto &[F, FA] : RawPA.all()) {
-    const IntervalStructure &IS = FA->intervals();
-    const Cfg &C = FA->cfg();
-    const std::vector<NodeId> &Headers = IS.headers();
-    unsigned NumLoops = static_cast<unsigned>(Headers.size());
-    FunctionLoops &L = Loops[F];
-
-    std::vector<unsigned> LoopOfHeader(C.numNodes(), NoLoop);
-    std::vector<std::pair<StmtId, unsigned>> HeadedPairs, InnerPairs;
-    for (unsigned I = 0; I < NumLoops; ++I) {
-      LoopOfHeader[Headers[I]] = I;
-      auto [In, End] = IS.treeRange(Headers[I]);
-      L.TreeIn.push_back(In);
-      L.TreeEnd.push_back(End);
-      L.HeaderStmt.push_back(C.origin(Headers[I]));
-      if (L.HeaderStmt[I] != InvalidStmt)
-        HeadedPairs.emplace_back(L.HeaderStmt[I], I);
+std::unique_ptr<LoopFrequencyStats>
+LoopFrequencyStats::build(const Program &P, DiagnosticEngine &Diags,
+                          CancelToken *Cancel) {
+  auto Stats = std::unique_ptr<LoopFrequencyStats>(new LoopFrequencyStats());
+  bool Failed = false;
+  size_t Skipped = 0;
+  for (const auto &F : P.functions()) {
+    if (Cancel && Cancel->checkpoint()) {
+      ++Skipped;
+      continue;
     }
-    for (NodeId N = 0; N < C.numNodes(); ++N)
-      if (C.origin(N) != InvalidStmt && IS.hdr(N) != InvalidNode)
-        InnerPairs.emplace_back(C.origin(N), LoopOfHeader[IS.hdr(N)]);
-    bucketByStmt(F->numStmts(), HeadedPairs, L.HeadedBegin, L.Headed);
-    bucketByStmt(F->numStmts(), InnerPairs, L.InnerBegin, L.Inner);
+    Cfg C = buildCfg(*F);
+    std::optional<IntervalStructure> IS = IntervalStructure::compute(C, Diags);
+    if (!IS) {
+      Failed = true;
+      continue;
+    }
+    Stats->addFunction(*F, C, *IS);
   }
+  if (Skipped)
+    Diags.error(cancelMessage(*Cancel, "program analysis") + "; " +
+                std::to_string(Skipped) + " of " +
+                std::to_string(P.functions().size()) +
+                " functions not analyzed");
+  if (Failed || Skipped)
+    return nullptr;
+  return Stats;
+}
+
+LoopFrequencyStats::LoopFrequencyStats(const ProgramAnalysis &RawPA) {
+  for (const auto &[F, FA] : RawPA.all())
+    addFunction(*F, FA->cfg(), FA->intervals());
+}
+
+void LoopFrequencyStats::addFunction(const Function &F, const Cfg &C,
+                                     const IntervalStructure &IS) {
+  const std::vector<NodeId> &Headers = IS.headers();
+  unsigned NumLoops = static_cast<unsigned>(Headers.size());
+  FunctionLoops &L = Loops[&F];
+
+  std::vector<unsigned> LoopOfHeader(C.numNodes(), NoLoop);
+  std::vector<std::pair<StmtId, unsigned>> HeadedPairs, InnerPairs;
+  for (unsigned I = 0; I < NumLoops; ++I) {
+    LoopOfHeader[Headers[I]] = I;
+    auto [In, End] = IS.treeRange(Headers[I]);
+    L.TreeIn.push_back(In);
+    L.TreeEnd.push_back(End);
+    L.HeaderStmt.push_back(C.origin(Headers[I]));
+    if (L.HeaderStmt[I] != InvalidStmt)
+      HeadedPairs.emplace_back(L.HeaderStmt[I], I);
+  }
+  for (NodeId N = 0; N < C.numNodes(); ++N)
+    if (C.origin(N) != InvalidStmt && IS.hdr(N) != InvalidNode)
+      InnerPairs.emplace_back(C.origin(N), LoopOfHeader[IS.hdr(N)]);
+  bucketByStmt(F.numStmts(), HeadedPairs, L.HeadedBegin, L.Headed);
+  bucketByStmt(F.numStmts(), InnerPairs, L.InnerBegin, L.Inner);
 }
 
 void LoopFrequencyStats::onProcedureEntry(const Function &F, unsigned Depth) {
@@ -337,4 +368,11 @@ void LoopFrequencyStats::addMoments(const Function &F, StmtId HeaderStmt,
   Acc.Entries += M.Entries;
   Acc.Sum += M.Sum;
   Acc.SumSq += M.SumSq;
+}
+
+const std::vector<StmtId> &
+LoopFrequencyStats::headerStmts(const Function &F) const {
+  static const std::vector<StmtId> None;
+  auto It = Loops.find(&F);
+  return It == Loops.end() ? None : It->second.HeaderStmt;
 }

@@ -29,6 +29,7 @@
 
 #include <array>
 #include <map>
+#include <memory>
 #include <vector>
 
 namespace ptran {
@@ -132,13 +133,23 @@ private:
 };
 
 /// Per-loop frequency moments: for each loop entry, the number of header
-/// executions until the loop was left. Uses a goto-preserving analysis so
-/// that statement/loop membership matches run-time events exactly. Each
-/// statement or transfer event costs O(1 + loop depth), and the tables
-/// take O(statements + loops) memory.
+/// executions until the loop was left. Loops come from each procedure's
+/// goto-preserving CFG (GOTO nodes kept), so statement/loop membership
+/// matches run-time events exactly. Only flat per-function tables survive
+/// construction: each statement or transfer event costs O(1 + loop
+/// depth), and the tables take O(statements + loops) memory.
 class LoopFrequencyStats : public ExecutionObserver {
 public:
-  /// \p RawPA must be computed with AnalysisOptions{.ElideGotos = false}.
+  /// Builds the tables of every procedure of \p P from its goto-preserving
+  /// CFG and interval structure, one procedure at a time; neither outlives
+  /// that procedure's turn. \p Cancel, when set, is polled once per
+  /// procedure. Returns null, with the error on \p Diags, when a
+  /// goto-preserving CFG is irreducible or \p Cancel expires.
+  static std::unique_ptr<LoopFrequencyStats>
+  build(const Program &P, DiagnosticEngine &Diags, CancelToken *Cancel);
+
+  /// Builds the tables from an analysis computed with
+  /// AnalysisOptions{.ElideGotos = false}.
   explicit LoopFrequencyStats(const ProgramAnalysis &RawPA);
 
   void onProcedureEntry(const Function &F, unsigned Depth) override;
@@ -174,8 +185,20 @@ public:
   /// into the accumulator for (\p F, \p HeaderStmt).
   void addMoments(const Function &F, StmtId HeaderStmt, const Moments &M);
 
+  /// The header statement of each of \p F's loops, in
+  /// IntervalStructure::headers() order of its goto-preserving CFG
+  /// (InvalidStmt for a header with no statement); empty for a function
+  /// without tables.
+  const std::vector<StmtId> &headerStmts(const Function &F) const;
+
 private:
   static constexpr unsigned NoLoop = static_cast<unsigned>(-1);
+
+  LoopFrequencyStats() = default;
+
+  /// Fills F's tables from its goto-preserving CFG and intervals.
+  void addFunction(const Function &F, const Cfg &C,
+                   const IntervalStructure &IS);
 
   /// One function's loops, indexed in IntervalStructure::headers() order.
   /// Statement events cost O(1 + depth): loops are found by header

@@ -144,23 +144,18 @@ uint64_t EstimationSession::inputKeyOf(const Function &F,
     Mix(static_cast<uint64_t>(Cond.Label));
     MixDouble(Total);
   }
-  // Loop moments live on the goto-preserving analysis (its statement ids
-  // key LoopFrequencyStats). They can change while condition totals stay
-  // identical — e.g. per-entry counts 1,3 vs 2,2 — so they must be part
-  // of the key for Profiled variance to invalidate correctly.
-  const FunctionAnalysis *RawFA = Est->rawAnalysis().tryOf(F);
-  if (RawFA) {
-    for (NodeId Header : RawFA->intervals().headers()) {
-      StmtId S = RawFA->cfg().origin(Header);
-      if (const LoopFrequencyStats::Moments *M =
-              Est->loopStats().momentsFor(F, S)) {
-        Mix(static_cast<uint64_t>(S));
-        MixDouble(M->Entries);
-        MixDouble(M->Sum);
-        MixDouble(M->SumSq);
-      }
+  // Loop moments are keyed by header statement. They can change while
+  // condition totals stay identical — e.g. per-entry counts 1,3 vs 2,2 —
+  // so they must be part of the key for Profiled variance to invalidate
+  // correctly.
+  const LoopFrequencyStats &Stats = Est->loopStats();
+  for (StmtId S : Stats.headerStmts(F))
+    if (const LoopFrequencyStats::Moments *M = Stats.momentsFor(F, S)) {
+      Mix(static_cast<uint64_t>(S));
+      MixDouble(M->Entries);
+      MixDouble(M->Sum);
+      MixDouble(M->SumSq);
     }
-  }
   return H;
 }
 

@@ -31,6 +31,7 @@ set(CASES
   "views|input.f --statements=main --annotate=work --chunk=4,10 --plan --dot=fcdg"
   "mode_naive|--workload=loops --mode=naive"
   "mode_naive_pdb|--workload=loops --mode=naive --pdb=naive.db"
+  "mode_naive_check|--workload=loops --mode=naive --check"
   "loop_variance_geometric|--workload=loops --loop-variance=geometric"
   "loop_variance_profiled|--workload=loops --runs=2 --loop-variance=profiled --jobs=2"
   "profile_out|input.f --runs=3 --profile-out=golden.ptpf"
@@ -112,6 +113,18 @@ if(NAIVE_PDB_RC EQUAL 0 OR NOT NAIVE_PDB_ERR MATCHES "--pdb does not work with -
    OR EXISTS ${WORK_DIR}/naive.db)
   message(FATAL_ERROR
     "--mode=naive --pdb is not rejected: rc=${NAIVE_PDB_RC} ${NAIVE_PDB_ERR}")
+endif()
+
+# Likewise --mode=naive --check: naive mode recovers no totals, so the
+# check used to be skipped with exit 0 and no "consistency check:" line.
+execute_process(
+  COMMAND ${ESTIMATOR} --workload=loops --mode=naive --check
+  WORKING_DIRECTORY ${WORK_DIR}
+  ERROR_VARIABLE NAIVE_CHECK_ERR
+  RESULT_VARIABLE NAIVE_CHECK_RC)
+if(NAIVE_CHECK_RC EQUAL 0 OR NOT NAIVE_CHECK_ERR MATCHES "--check does not work with --mode=naive")
+  message(FATAL_ERROR
+    "--mode=naive --check is not rejected: rc=${NAIVE_CHECK_RC} ${NAIVE_CHECK_ERR}")
 endif()
 
 list(LENGTH CASES NUM_CASES)

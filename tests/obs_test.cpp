@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
 
 using namespace ptran;
@@ -348,6 +349,32 @@ TEST(ObsEndToEnd, EstimatorRecordsEveryPass) {
   EXPECT_GT(Reg.counterValue("recovery.fixpoint_iterations"), 0u);
   EXPECT_GT(Reg.counterValue("timeanalysis.evaluations"), 0u);
   EXPECT_TRUE(JsonValidator(Reg.chromeTraceJson()).valid());
+}
+
+TEST(ObsEndToEnd, EstimatorAnalyzesEachFunctionOnce) {
+  // One ProgramAnalysis per estimator: loop statistics build their tables
+  // from goto-preserving CFGs and intervals alone, never from a second
+  // ECFG and FCDG.
+  std::unique_ptr<Program> P = parseWorkload(livermoreLoops());
+  DiagnosticEngine Diags;
+  ObsRegistry Reg;
+  auto Est = Estimator::create(
+      *P, CostModel::optimizing(),
+      EstimatorOptions(Diags).jobs(2).observability(Reg));
+  ASSERT_NE(Est, nullptr) << Diags.str();
+
+  std::map<std::string, std::multiset<std::string>> Details;
+  for (const ObsRegistry::SpanRecord &S : Reg.spans())
+    Details[S.Name].insert(S.Detail);
+  EXPECT_EQ(Details["analysis.program"].size(), 1u);
+  EXPECT_EQ(Details["analysis.loops"].size(), 1u);
+  ASSERT_GT(P->functions().size(), 1u);
+  for (const char *Pass : {"analysis.ecfg", "analysis.fcdg"}) {
+    EXPECT_EQ(Details[Pass].size(), P->functions().size()) << Pass;
+    for (const auto &F : P->functions())
+      EXPECT_EQ(Details[Pass].count(F->name()), 1u)
+          << Pass << " of " << F->name();
+  }
 }
 
 TEST(ObsEndToEnd, DisabledObservabilityRecordsNothing) {

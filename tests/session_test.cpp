@@ -20,6 +20,7 @@
 
 #include "TestPrograms.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <set>
@@ -625,6 +626,49 @@ TEST(EstimationSession, IngestReportsObservabilityCounters) {
   // Second ingest: 3 clean sections fold, 1 quarantines.
   EXPECT_EQ(Obs.counterValue("session.ingest.accepted"), 7u);
   EXPECT_EQ(Obs.counterValue("session.ingest.quarantined"), 1u);
+}
+
+TEST(EstimationSession, LoopMomentsAloneChangeTheKey) {
+  // Under Profiled variance the input key covers loop moments, not just
+  // condition totals. Ingesting all-zero counters leaves every total as
+  // it was; the moments are the only input that moves.
+  std::unique_ptr<Program> Prog = parseDiamond();
+  DiagnosticEngine Diags;
+  auto S = runSession(*Prog, 1, Diags);
+  ASSERT_NE(S, nullptr);
+  EstimateResult R1 = S->estimateEntry();
+  ASSERT_TRUE(R1.Ok) << R1.Error;
+
+  ProfileFile ZeroCounts = S->captureProfile();
+  for (FunctionSection &Sec : ZeroCounts.sectionsMutable()) {
+    std::fill(Sec.Counters.begin(), Sec.Counters.end(), 0.0);
+    Sec.Loops.clear();
+  }
+  // Equal totals and equal moments: the key stays, nothing re-evaluates.
+  ASSERT_TRUE(S->ingestProfile(ZeroCounts).Ok);
+  EstimateResult R2 = S->estimateEntry();
+  ASSERT_TRUE(R2.Ok) << R2.Error;
+  EXPECT_EQ(S->lastEvaluations(), 0u);
+  EXPECT_EQ(R2.Var, R1.Var);
+
+  // Equal totals, and leafa's loop moments differ in Sigma F^2 alone —
+  // the difference between per-entry counts 1,3 and 2,2. leafa's key
+  // must change, re-evaluating it and its callers {mid, main}.
+  const Function *LeafA = Prog->findFunction("leafa");
+  ASSERT_NE(LeafA, nullptr);
+  const std::vector<StmtId> &Headers =
+      S->estimator().loopStats().headerStmts(*LeafA);
+  ASSERT_EQ(Headers.size(), 1u);
+  ProfileFile SumSqOnly = ZeroCounts;
+  for (FunctionSection &Sec : SumSqOnly.sectionsMutable())
+    if (Sec.Name == "leafa")
+      Sec.Loops.push_back({static_cast<uint32_t>(Headers[0]), 0.0, 0.0, 2.0});
+  ASSERT_TRUE(S->ingestProfile(SumSqOnly).Ok);
+  EstimateResult R3 = S->estimateEntry();
+  ASSERT_TRUE(R3.Ok) << R3.Error;
+  EXPECT_EQ(S->lastEvaluations(), 3u);
+  EXPECT_EQ(R3.Time, R1.Time);
+  EXPECT_GT(R3.Var, R1.Var);
 }
 
 TEST(EstimationSession, CsrSweepDoesNotAllocateOnWarmQueries) {

@@ -21,7 +21,8 @@
 //                           concurrency; 1 = serial; results are identical
 //                           for every value)
 //   --check                 verify the Section 3 identities on the profile
-//                           (findings make the exit code nonzero)
+//                           (findings make the exit code nonzero; not
+//                           with --mode=naive)
 //   --profile-out=FILE      save the accumulated counters + loop moments
 //                           as a durable, checksummed profile file
 //   --profile-in=FILE       validate and ingest a saved profile before
@@ -134,7 +135,8 @@ const char *const UsageText =
     "  --freq=profile|static|hybrid   frequency source (default profile)\n"
     "  --jobs=N                worker threads (0 = hardware concurrency)\n"
     "  --check                 verify the Section 3 identities (findings\n"
-    "                          make the exit code nonzero)\n"
+    "                          make the exit code nonzero; not with\n"
+    "                          --mode=naive)\n"
     "  --profile-out=FILE      save the accumulated profile (checksummed)\n"
     "  --profile-in=FILE       validate + ingest a saved profile\n"
     "  --on-bad-profile=fail|quarantine   bad-profile policy (default\n"
@@ -331,6 +333,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opts, std::string &Error) {
   if (Opts.Mode == ProfileMode::Naive && !Opts.PdbFile.empty()) {
     Error = "--pdb does not work with --mode=naive (naive mode measures "
             "basic blocks only and estimates nothing to accumulate)";
+    return false;
+  }
+  if (Opts.Mode == ProfileMode::Naive && Opts.Check) {
+    Error = "--check does not work with --mode=naive (naive mode measures "
+            "basic blocks only and recovers no totals to check)";
     return false;
   }
   return true;
