@@ -12,24 +12,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Analysis.h"
-#include "obs/Observability.h"
-#include "session/EstimationSession.h"
 #include "cost/TimeAnalysis.h"
-#include "stream/DeltaStream.h"
 #include "support/FatalError.h"
 #include "freq/Frequencies.h"
 #include "profile/CounterPlan.h"
-#include "profile/Recovery.h"
 #include "support/TablePrinter.h"
 #include "workloads/Workloads.h"
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
 using namespace ptran;
 
@@ -247,169 +241,6 @@ void printParallelSpeedupTable() {
   std::printf("%s\n", T.str().c_str());
 }
 
-// Incremental re-estimation through an EstimationSession: dirty one leaf
-// of the many-function call tree, re-query, and compare against a cold
-// TimeAnalysis over the same inputs — wall clock, evaluation counts and a
-// bit-for-bit memcmp of every function's node estimates.
-void printIncrementalReestimationTable() {
-  constexpr unsigned Funcs = 255;
-  constexpr unsigned Jobs = 4;
-  std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 3);
-  CostModel CM = CostModel::optimizing();
-  DiagnosticEngine Diags;
-  auto S = EstimationSession::create(*Prog, CM,
-                                     EstimatorOptions(Diags).jobs(Jobs));
-  if (!S)
-    reportFatalError("session creation failed:\n" + Diags.str());
-  RunResult R = S->profiledRun();
-  if (!R.Ok)
-    reportFatalError("profiled run failed: " + R.Error);
-
-  auto Start = std::chrono::steady_clock::now();
-  EstimateResult First = S->estimateEntry();
-  auto End = std::chrono::steady_clock::now();
-  if (!First.Ok)
-    reportFatalError("cold estimate failed: " + First.Error);
-  double ColdQuery = std::chrono::duration<double>(End - Start).count();
-  uint64_t ColdEvals = S->lastEvaluations();
-
-  // Dirty one leaf's accumulated totals per repetition; the dirty closure
-  // is the leaf plus its chain of callers up the binary call tree.
-  const Function *Leaf = Prog->findFunction("f" + std::to_string(Funcs - 1));
-  if (!Leaf)
-    reportFatalError("many-function program is missing its last leaf");
-  const FunctionAnalysis &LeafFA = S->estimator().analysis().of(*Leaf);
-  double Injected = 0.0;
-  double BestInc = 1e100;
-  uint64_t IncEvals = 0;
-  const TimeAnalysis *IncAnalysis = nullptr;
-  for (int Rep = 0; Rep < 3; ++Rep) {
-    FrequencyTotals Delta;
-    Delta.Cond[{LeafFA.ecfg().start(), CfgLabel::U}] = 1.0 + Rep;
-    Injected += 1.0 + Rep;
-    S->accumulateTotals(*Leaf, Delta);
-    Start = std::chrono::steady_clock::now();
-    EstimateResult Inc = S->estimateEntry();
-    End = std::chrono::steady_clock::now();
-    if (!Inc.Ok)
-      reportFatalError("incremental estimate failed: " + Inc.Error);
-    BestInc = std::min(BestInc,
-                       std::chrono::duration<double>(End - Start).count());
-    IncEvals = S->lastEvaluations();
-    IncAnalysis = Inc.Analysis;
-  }
-
-  // Cold recomputation over the session's exact accumulated inputs,
-  // timing everything a non-incremental client redoes per query: counter
-  // recovery, frequency computation and the full TIME/VAR pass.
-  const Estimator &Est = S->estimator();
-  TimeAnalysisOptions TAOpts;
-  TAOpts.Exec.Jobs = Jobs;
-  double BestCold = 1e100;
-  TimeAnalysis Cold;
-  for (int Rep = 0; Rep < 3; ++Rep) {
-    Start = std::chrono::steady_clock::now();
-    std::map<const Function *, Frequencies> Freqs;
-    for (const auto &F : Prog->functions()) {
-      FrequencyTotals Totals = Est.runtime().recover(*F);
-      if (!Totals.Ok)
-        reportFatalError("recovery failed for " + F->name());
-      if (F.get() == Leaf) {
-        Totals.Cond[{LeafFA.ecfg().start(), CfgLabel::U}] += Injected;
-        Totals.Node =
-            nodeTotalsFromConds(Est.analysis().of(*F), Totals.Cond);
-      }
-      Freqs[F.get()] = computeFrequencies(Est.analysis().of(*F), Totals);
-    }
-    Cold = TimeAnalysis::run(Est.analysis(), Freqs, CM, TAOpts);
-    End = std::chrono::steady_clock::now();
-    BestCold = std::min(BestCold,
-                        std::chrono::duration<double>(End - Start).count());
-  }
-
-  bool Identical = true;
-  for (const auto &F : Prog->functions()) {
-    const std::vector<NodeEstimates> &A = IncAnalysis->estimatesOf(*F);
-    const std::vector<NodeEstimates> &B = Cold.estimatesOf(*F);
-    if (A.size() != B.size() ||
-        std::memcmp(A.data(), B.data(), A.size() * sizeof(NodeEstimates)) !=
-            0) {
-      Identical = false;
-      break;
-    }
-  }
-
-  std::printf("=== Incremental re-estimation (%u functions, 1 leaf dirty) "
-              "===\n",
-              Funcs);
-  TablePrinter T({"query", "wall [ms]", "evaluations", "output"});
-  char Wall[32];
-  std::snprintf(Wall, sizeof(Wall), "%.3f", ColdQuery * 1e3);
-  T.addRow({"first (cold)", Wall,
-            std::to_string(static_cast<unsigned long long>(ColdEvals)),
-            "reference"});
-  std::snprintf(Wall, sizeof(Wall), "%.3f", BestCold * 1e3);
-  T.addRow({"full recompute", Wall, std::to_string(Funcs), "reference"});
-  std::snprintf(Wall, sizeof(Wall), "%.3f", BestInc * 1e3);
-  T.addRow({"incremental", Wall,
-            std::to_string(static_cast<unsigned long long>(IncEvals)),
-            Identical ? "identical" : "DIFFERS"});
-  std::printf("%s", T.str().c_str());
-  std::printf("incremental speedup vs full recompute: %.2fx (%llu of %u "
-              "functions re-evaluated)\n\n",
-              BestCold / BestInc,
-              static_cast<unsigned long long>(IncEvals), Funcs);
-}
-
-// Observability cost: the same analysis + TIME/VAR pipeline with no
-// registry (the default, every TimingSpan a single branch), and with a
-// live registry recording every span and counter. The disabled column is
-// the one the ±2%-regression acceptance gate watches.
-void printObservabilityOverheadTable() {
-  constexpr unsigned Funcs = 255;
-  std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 3);
-  CostModel CM = CostModel::optimizing();
-
-  auto RunOnce = [&](ObsRegistry *Obs) {
-    DiagnosticEngine Diags;
-    AnalysisOptions AOpts;
-    AOpts.Obs.Registry = Obs;
-    auto Start = std::chrono::steady_clock::now();
-    auto PA = ProgramAnalysis::compute(*Prog, Diags, AOpts);
-    if (!PA || !PA->allOk())
-      reportFatalError("analysis failed for many-function program");
-    std::map<const Function *, Frequencies> Freqs =
-        syntheticFrequencies(*Prog, *PA);
-    TimeAnalysisOptions TAOpts;
-    TAOpts.Obs.Registry = Obs;
-    TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CM, TAOpts);
-    auto End = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(TA.programTime());
-    return std::chrono::duration<double>(End - Start).count();
-  };
-
-  RunOnce(nullptr); // Warm up.
-  double BestOff = 1e100, BestOn = 1e100;
-  size_t SpanCount = 0;
-  for (int Rep = 0; Rep < 5; ++Rep) {
-    BestOff = std::min(BestOff, RunOnce(nullptr));
-    ObsRegistry Reg;
-    BestOn = std::min(BestOn, RunOnce(&Reg));
-    SpanCount = Reg.spans().size();
-  }
-
-  std::printf("=== Observability overhead (%u functions, serial) ===\n",
-              Funcs);
-  TablePrinter T({"observability", "wall [ms]", "vs disabled", "spans"});
-  char Wall[32], Ratio[32];
-  std::snprintf(Wall, sizeof(Wall), "%.2f", BestOff * 1e3);
-  T.addRow({"disabled", Wall, "1.00x", "0"});
-  std::snprintf(Wall, sizeof(Wall), "%.2f", BestOn * 1e3);
-  std::snprintf(Ratio, sizeof(Ratio), "%.2fx", BestOn / BestOff);
-  T.addRow({"enabled", Wall, Ratio, std::to_string(SpanCount)});
-  std::printf("%s\n", T.str().c_str());
-}
-
 // Cancellation-poll cost: the same analysis + TIME/VAR pipeline with no
 // token (the default, every checkpoint compiled out behind a null check)
 // and with an armed far-future deadline token, so every checkpoint does
@@ -462,203 +293,6 @@ void printCancellationOverheadTable() {
   std::printf("%s\n", T.str().c_str());
 }
 
-// Fault-tolerant ingestion cost: capture/save, load (header + per-section
-// CRC validation), saturating merge, and full session ingest (recovery +
-// Σ-identity checks per section) — once on a clean profile and once with
-// ~10% of the sections corrupted, so the quarantine path's price is
-// visible next to the happy path.
-void printProfileIngestionTable() {
-  constexpr unsigned Funcs = 127;
-  constexpr int Reps = 3;
-  std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs + 1, 2);
-  CostModel CM = CostModel::optimizing();
-  DiagnosticEngine Diags;
-  auto Producer = EstimationSession::create(
-      *Prog, CM,
-      EstimatorOptions(Diags).loopVariance(LoopVarianceMode::Profiled));
-  if (!Producer || !Producer->profiledRun().Ok)
-    reportFatalError("profiled run failed for many-function program");
-  ProfileFile Clean = Producer->captureProfile();
-  const double SizeKb =
-      static_cast<double>(Clean.serialize().size()) / 1024.0;
-  const std::string Path = "analysis_scaling_profile.ptpf";
-
-  // ~10% of the sections present exactly as a failed CRC would leave
-  // them: invalid, empty, with the trusted directory still naming them.
-  ProfileFile Corrupt = Clean;
-  unsigned Corrupted = 0;
-  for (size_t I = 0; I < Corrupt.sectionsMutable().size(); I += 10) {
-    FunctionSection &S = Corrupt.sectionsMutable()[I];
-    S.Valid = false;
-    S.Issue = "section checksum mismatch (corrupt data)";
-    S.Counters.clear();
-    S.Loops.clear();
-    ++Corrupted;
-  }
-
-  auto Best = [&](auto &&Body) {
-    double BestSec = 1e100;
-    for (int R = 0; R < Reps; ++R) {
-      auto Start = std::chrono::steady_clock::now();
-      Body();
-      auto End = std::chrono::steady_clock::now();
-      BestSec = std::min(BestSec,
-                         std::chrono::duration<double>(End - Start).count());
-    }
-    return BestSec;
-  };
-
-  double SaveSec = Best([&] {
-    if (!Clean.saveToFile(Path, nullptr))
-      reportFatalError("profile save failed");
-  });
-  double LoadSec = Best([&] {
-    if (!ProfileFile::loadFromFile(Path, nullptr))
-      reportFatalError("profile load failed");
-  });
-  double MergeSec = Best([&] {
-    ProfileFile A = Clean;
-    if (!A.merge(Clean, nullptr))
-      reportFatalError("profile merge failed");
-    benchmark::DoNotOptimize(A.runs());
-  });
-
-  size_t LastQuarantined = 0;
-  auto IngestSec = [&](const ProfileFile &PF, size_t &QuarantinedOut) {
-    double BestSec = 1e100;
-    for (int R = 0; R < Reps; ++R) {
-      DiagnosticEngine D;
-      auto Consumer = EstimationSession::create(
-          *Prog, CM,
-          EstimatorOptions(D)
-              .loopVariance(LoopVarianceMode::Profiled)
-              .onBadProfile(BadProfilePolicy::Quarantine));
-      if (!Consumer)
-        reportFatalError("session creation failed");
-      auto Start = std::chrono::steady_clock::now();
-      ProfileIngestReport Report = Consumer->ingestProfile(PF);
-      auto End = std::chrono::steady_clock::now();
-      if (!Report.Ok)
-        reportFatalError("profile ingest failed: " + Report.Error);
-      QuarantinedOut = Report.Quarantined.size();
-      BestSec = std::min(BestSec,
-                         std::chrono::duration<double>(End - Start).count());
-    }
-    return BestSec;
-  };
-  size_t CleanQuarantined = 0;
-  double IngestCleanSec = IngestSec(Clean, CleanQuarantined);
-  double IngestBadSec = IngestSec(Corrupt, LastQuarantined);
-  std::remove(Path.c_str());
-
-  const double Sections = static_cast<double>(Clean.sections().size());
-  auto Rate = [&](double Sec) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.0f", Sections / Sec);
-    return std::string(Buf);
-  };
-  std::printf("=== Profile ingestion (%zu sections, %.1f KiB on disk) ===\n",
-              Clean.sections().size(), SizeKb);
-  TablePrinter T({"stage", "wall [ms]", "sections/s", "quarantined"});
-  char Wall[32];
-  std::snprintf(Wall, sizeof(Wall), "%.3f", SaveSec * 1e3);
-  T.addRow({"serialize + save", Wall, Rate(SaveSec), "-"});
-  std::snprintf(Wall, sizeof(Wall), "%.3f", LoadSec * 1e3);
-  T.addRow({"load + checksum", Wall, Rate(LoadSec), "-"});
-  std::snprintf(Wall, sizeof(Wall), "%.3f", MergeSec * 1e3);
-  T.addRow({"saturating merge", Wall, Rate(MergeSec), "-"});
-  std::snprintf(Wall, sizeof(Wall), "%.3f", IngestCleanSec * 1e3);
-  T.addRow({"ingest (clean)", Wall, Rate(IngestCleanSec),
-            std::to_string(CleanQuarantined)});
-  std::snprintf(Wall, sizeof(Wall), "%.3f", IngestBadSec * 1e3);
-  T.addRow({"ingest (10% corrupt)", Wall, Rate(IngestBadSec),
-            std::to_string(LastQuarantined)});
-  std::printf("%s\n", T.str().c_str());
-}
-
-// Streaming counter ingest: N writer threads firehosing deltas into a
-// CounterDeltaStream's sharded atomic cells, a periodic flusher folding
-// each sealed epoch into the session, and 0 / 1 / Q query threads
-// re-estimating concurrently. The updates/s column is the sustained
-// append rate measured over the writers' whole lifetime — the acceptance
-// gate watches it stay above 1M/s even with concurrent queries.
-void printStreamingIngestTable() {
-  constexpr unsigned Funcs = 255;
-  constexpr unsigned Writers = 4;
-  constexpr uint64_t OpsPerWriter = 250000;
-  std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 3);
-  CostModel CM = CostModel::optimizing();
-
-  std::printf("=== Streaming counter ingest (%u functions, %u writers, "
-              "%llu updates) ===\n",
-              Funcs, Writers,
-              static_cast<unsigned long long>(Writers * OpsPerWriter));
-  TablePrinter T({"query threads", "wall [ms]", "updates/s", "epochs",
-                  "queries"});
-  for (unsigned QueryThreads : {0u, 1u, 4u}) {
-    DiagnosticEngine Diags;
-    auto S = EstimationSession::create(*Prog, CM,
-                                       EstimatorOptions(Diags).jobs(4));
-    if (!S || !S->profiledRun().Ok)
-      reportFatalError("session setup failed for streaming bench");
-    if (!S->estimateEntry().Ok)
-      reportFatalError("warm-up estimate failed");
-    auto Stream = CounterDeltaStream::create(*S);
-    const unsigned NumFns = Stream->numFunctions();
-
-    std::atomic<bool> WritersDone{false};
-    std::atomic<uint64_t> Queries{0};
-    auto Start = std::chrono::steady_clock::now();
-    {
-      std::vector<std::jthread> Pool;
-      // The flusher seals an epoch every millisecond until the writers
-      // retire, then drains whatever is left in one final epoch.
-      Pool.emplace_back([&] {
-        while (!WritersDone.load(std::memory_order_acquire)) {
-          Stream->flush();
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        Stream->flush();
-      });
-      for (unsigned Q = 0; Q < QueryThreads; ++Q)
-        Pool.emplace_back([&] {
-          while (!WritersDone.load(std::memory_order_acquire)) {
-            if (!S->estimateEntry().Ok)
-              reportFatalError("concurrent estimate failed");
-            Queries.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-      {
-        std::vector<std::jthread> WriterPool;
-        for (unsigned W = 0; W < Writers; ++W)
-          WriterPool.emplace_back([&, W] {
-            CounterDeltaStream::Writer Wr = Stream->acquireWriter();
-            if (!Wr)
-              reportFatalError("no writer slot free");
-            for (uint64_t I = 0; I < OpsPerWriter; ++I)
-              Wr.add((W + I) % NumFns, 0, 1.0);
-          });
-      }
-      WritersDone.store(true, std::memory_order_release);
-    }
-    auto End = std::chrono::steady_clock::now();
-    double Wall = std::chrono::duration<double>(End - Start).count();
-    CounterDeltaStream::Stats St = Stream->stats();
-    if (St.Appended != Writers * OpsPerWriter || St.Dropped != 0)
-      reportFatalError("streaming bench lost updates");
-
-    char WallMs[32], Rate[32];
-    std::snprintf(WallMs, sizeof(WallMs), "%.1f", Wall * 1e3);
-    std::snprintf(Rate, sizeof(Rate), "%.2fM",
-                  static_cast<double>(St.Appended) / Wall / 1e6);
-    T.addRow({std::to_string(QueryThreads), WallMs, Rate,
-              std::to_string(static_cast<unsigned long long>(St.Epochs)),
-              std::to_string(static_cast<unsigned long long>(
-                  Queries.load()))});
-  }
-  std::printf("%s\n", T.str().c_str());
-}
-
 void printStaticScalingTable() {
   std::printf("=== Ablation A2: representation sizes vs program size ===\n");
   TablePrinter T({"units", "stmts", "ecfg nodes", "fcdg edges",
@@ -682,11 +316,7 @@ void printStaticScalingTable() {
 int main(int Argc, char **Argv) {
   printStaticScalingTable();
   printParallelSpeedupTable();
-  printIncrementalReestimationTable();
-  printObservabilityOverheadTable();
   printCancellationOverheadTable();
-  printProfileIngestionTable();
-  printStreamingIngestTable();
   benchmark::Initialize(&Argc, Argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -29,14 +29,10 @@ std::unique_ptr<Estimator> Estimator::create(const Program &P,
   // DeadlinePolicy (the cancellation diagnostic is already on Diags).
   if (!Est->PA || !Est->PA->allOk())
     return nullptr;
-  // Loop statistics follow run-time events on the goto-preserving CFGs;
-  // of those they keep only flat per-function tables.
   {
     TimingSpan Span(Opts.Obs.Registry, "analysis.loops");
-    Est->Stats = LoopFrequencyStats::build(P, Diags, Opts.Cancel);
+    Est->Stats = std::make_unique<LoopFrequencyStats>(*Est->PA);
   }
-  if (!Est->Stats)
-    return nullptr;
   {
     TimingSpan Span(Opts.Obs.Registry, "plan.counters");
     Est->Plan = ProgramPlan::build(*Est->PA, Opts.Mode);

@@ -32,7 +32,7 @@ double loopFreqVariance(const FunctionAnalysis &FA,
       return 0.0;
     NodeId Header = FA.ecfg().headerOf(Ph);
     assert(Header != InvalidNode && "loop variance on a non-preheader");
-    const LoopFrequencyStats::Moments *M = Opts.Stats->momentsFor(
+    std::optional<LoopFrequencyStats::Moments> M = Opts.Stats->momentsFor(
         FA.function(), FA.ecfg().cfg().origin(Header));
     return M ? M->variance() : 0.0;
   }

@@ -45,8 +45,8 @@ public:
   /// GOTO nodes into edges (recovering the paper's compact statement
   /// CFGs), so no estimate charges a jump, and a zero jump cost keeps the
   /// interpreter's clock consistent with the estimates. (LoopFrequencyStats
-  /// keeps GOTO nodes only to attribute run-time events to loops.) A
-  /// nonzero cost fits only an analysis with
+  /// counts an executed elided GOTO as the statement its chain lands on.)
+  /// A nonzero cost fits only an analysis with
   /// AnalysisOptions::ElideGotos = false.
   double GotoCost = 0.0;
   /// Per-execution overhead of a DO header (trip test + induction update,

@@ -31,11 +31,6 @@ bool IntervalStructure::contains(NodeId H, NodeId N) const {
   return TreeIn[I] <= TreeIn[J] && TreeIn[J] < TreeIn[I] + TreeSize[I];
 }
 
-std::pair<unsigned, unsigned> IntervalStructure::treeRange(NodeId H) const {
-  unsigned I = loopIndex(H);
-  return {TreeIn[I], TreeIn[I] + TreeSize[I]};
-}
-
 NodeId IntervalStructure::hdrParent(NodeId H) const {
   return Parent[loopIndex(H)];
 }

@@ -34,7 +34,6 @@
 #include "support/Diagnostics.h"
 
 #include <optional>
-#include <utility>
 #include <vector>
 
 namespace ptran {
@@ -59,11 +58,6 @@ public:
 
   /// True if loop \p H's body contains node \p N (header included). O(1).
   bool contains(NodeId H, NodeId N) const;
-
-  /// Loop \p H's preorder interval [first, second) in the header tree:
-  /// loop G is H or nested in H iff
-  /// treeRange(H).first <= treeRange(G).first < treeRange(H).second.
-  std::pair<unsigned, unsigned> treeRange(NodeId H) const;
 
   /// HDR(n): header of the innermost loop containing \p N; a header is in
   /// its own interval, so hdr(h) == h. InvalidNode when \p N is in no loop

@@ -48,8 +48,14 @@ void ObsRegistry::recordSpan(std::string Name, std::string Detail,
   R.DurNs =
       static_cast<uint64_t>(duration_cast<nanoseconds>(End - Start).count());
   std::lock_guard<std::mutex> Lock(M);
-  R.Tid = tidOfLocked(std::this_thread::get_id());
-  Spans.push_back(std::move(R));
+  SpanTotals &T = TotalsByName[R.Name];
+  ++T.Count;
+  T.TotalNs += R.DurNs;
+  T.MaxNs = std::max(T.MaxNs, R.DurNs);
+  if (Spans.size() < MaxSpanRecords) {
+    R.Tid = tidOfLocked(std::this_thread::get_id());
+    Spans.push_back(std::move(R));
+  }
 }
 
 std::vector<ObsRegistry::SpanRecord> ObsRegistry::spans() const {
@@ -171,28 +177,13 @@ bool ObsRegistry::writeChromeTrace(const std::string &Path,
 }
 
 std::string ObsRegistry::statsTable() const {
-  std::vector<SpanRecord> SpanCopy;
+  std::vector<std::pair<std::string, SpanTotals>> Sorted;
   std::map<std::string, uint64_t> CounterCopy;
   {
     std::lock_guard<std::mutex> Lock(M);
-    SpanCopy = Spans;
+    Sorted.assign(TotalsByName.begin(), TotalsByName.end());
     CounterCopy = Counters;
   }
-
-  struct Agg {
-    uint64_t Count = 0;
-    uint64_t TotalNs = 0;
-    uint64_t MaxNs = 0;
-  };
-  std::map<std::string, Agg> ByName;
-  for (const SpanRecord &S : SpanCopy) {
-    Agg &A = ByName[S.Name];
-    ++A.Count;
-    A.TotalNs += S.DurNs;
-    A.MaxNs = std::max(A.MaxNs, S.DurNs);
-  }
-  std::vector<std::pair<std::string, Agg>> Sorted(ByName.begin(),
-                                                  ByName.end());
   std::sort(Sorted.begin(), Sorted.end(), [](const auto &A, const auto &B) {
     if (A.second.TotalNs != B.second.TotalNs)
       return A.second.TotalNs > B.second.TotalNs;

@@ -59,6 +59,11 @@ public:
     unsigned Tid = 0;
   };
 
+  /// At most this many SpanRecords are kept (the first ones recorded),
+  /// so a long-running process's span memory stays bounded; statsTable()
+  /// still aggregates every span.
+  static constexpr size_t MaxSpanRecords = size_t(1) << 16;
+
   ObsRegistry();
 
   // ObsSink:
@@ -69,12 +74,14 @@ public:
   /// Snapshot of all counters.
   std::map<std::string, uint64_t> counters() const;
 
-  /// Records a completed span (normally called by ~TimingSpan).
+  /// Records a completed span (normally called by ~TimingSpan): adds it to
+  /// its name's aggregate and keeps the record while fewer than
+  /// MaxSpanRecords are held.
   void recordSpan(std::string Name, std::string Detail,
                   std::chrono::steady_clock::time_point Start,
                   std::chrono::steady_clock::time_point End);
 
-  /// Snapshot of all spans recorded so far.
+  /// Snapshot of the kept span records, in recording order.
   std::vector<SpanRecord> spans() const;
   /// True if no span and no counter has been recorded.
   bool empty() const;
@@ -82,26 +89,33 @@ public:
   /// Nanoseconds since the registry's epoch.
   uint64_t nowNs() const;
 
-  /// Serializes everything as Chrome trace_event JSON: spans as complete
-  /// ("ph":"X") events with microsecond timestamps, counters as one
-  /// trailing counter ("ph":"C") event each.
+  /// Serializes everything as Chrome trace_event JSON: the kept spans as
+  /// complete ("ph":"X") events with microsecond timestamps, counters as
+  /// one trailing counter ("ph":"C") event each.
   std::string chromeTraceJson() const;
 
   /// Writes chromeTraceJson() to \p Path. On failure returns false and
   /// sets \p Error to an actionable message.
   bool writeChromeTrace(const std::string &Path, std::string &Error) const;
 
-  /// Renders a plain-text summary: spans aggregated per name (count,
-  /// total/mean/max wall time, sorted by total descending) and every
-  /// counter, as two TablePrinter tables.
+  /// Renders a plain-text summary: every recorded span aggregated per name
+  /// (count, total/mean/max wall time, sorted by total descending) and
+  /// every counter, as two TablePrinter tables.
   std::string statsTable() const;
 
 private:
+  struct SpanTotals {
+    uint64_t Count = 0;
+    uint64_t TotalNs = 0;
+    uint64_t MaxNs = 0;
+  };
+
   unsigned tidOfLocked(std::thread::id Id);
 
   mutable std::mutex M;
   std::chrono::steady_clock::time_point Epoch;
   std::vector<SpanRecord> Spans;
+  std::map<std::string, SpanTotals> TotalsByName;
   std::map<std::string, uint64_t> Counters;
   std::map<std::thread::id, unsigned> Tids;
 };

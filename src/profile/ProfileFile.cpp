@@ -99,7 +99,8 @@ ProfileFile ProfileFile::capture(const ProgramAnalysis &PA,
                                  const ProgramPlan &Plan,
                                  const ProfileRuntime &RT,
                                  const LoopFrequencyStats *Stats,
-                                 uint32_t Runs) {
+                                 uint32_t Runs,
+                                 LoopFrequencyStats::MomentSet Moments) {
   ProfileFile PF;
   PF.ProgramFingerprint = programFingerprintOf(PA);
   PF.Mode = Plan.mode();
@@ -113,7 +114,7 @@ ProfileFile ProfileFile::capture(const ProgramAnalysis &PA,
     S.Fingerprint = structuralFingerprintOf(*FA);
     S.Counters = RT.countersFor(*FPtr);
     if (Stats)
-      for (const auto &[Header, M] : Stats->momentsOf(*FPtr))
+      for (const auto &[Header, M] : Stats->momentsOf(*FPtr, Moments))
         S.Loops.push_back({static_cast<uint32_t>(Header), M.Entries, M.Sum,
                            M.SumSq});
     PF.Sections.push_back(std::move(S));

@@ -103,12 +103,15 @@ public:
   ProfileFile() = default;
 
   /// Snapshots the current counters of \p RT (and, when \p Stats is
-  /// non-null, its loop moments) into a profile for \p PA's program.
-  /// \p Runs records how many profiled runs the counters accumulate.
-  static ProfileFile capture(const ProgramAnalysis &PA,
-                             const ProgramPlan &Plan,
-                             const ProfileRuntime &RT,
-                             const LoopFrequencyStats *Stats, uint32_t Runs);
+  /// non-null, its \p Moments loop moments) into a profile for \p PA's
+  /// program. \p Runs records how many profiled runs the counters
+  /// accumulate.
+  static ProfileFile
+  capture(const ProgramAnalysis &PA, const ProgramPlan &Plan,
+          const ProfileRuntime &RT, const LoopFrequencyStats *Stats,
+          uint32_t Runs,
+          LoopFrequencyStats::MomentSet Moments =
+              LoopFrequencyStats::MomentSet::All);
 
   /// Serializes to the on-disk byte layout.
   std::vector<uint8_t> serialize() const;

@@ -2,6 +2,7 @@
 
 #include "profile/ProfileRuntime.h"
 
+#include "support/Casting.h"
 #include "support/FatalError.h"
 #include "support/FaultInjection.h"
 
@@ -198,101 +199,26 @@ FrequencyTotals ExactProfile::totals(const Function &F) const {
 // LoopFrequencyStats
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Fills a per-statement slice table: Begin[S] .. Begin[S + 1] indexes the
-/// values of the (statement, value) pairs whose statement is S, in input
-/// order.
-void bucketByStmt(unsigned NumStmts,
-                  const std::vector<std::pair<StmtId, unsigned>> &Pairs,
-                  std::vector<unsigned> &Begin, std::vector<unsigned> &Values) {
-  Begin.assign(NumStmts + 1, 0);
-  for (const auto &[S, V] : Pairs)
-    ++Begin[S + 1];
-  for (unsigned S = 0; S < NumStmts; ++S)
-    Begin[S + 1] += Begin[S];
-  Values.resize(Pairs.size());
-  std::vector<unsigned> Fill(Begin.begin(), Begin.end() - 1);
-  for (const auto &[S, V] : Pairs)
-    Values[Fill[S]++] = V;
-}
-
-} // namespace
-
-bool LoopFrequencyStats::FunctionLoops::bodyContains(unsigned Loop,
-                                                     StmtId S) const {
-  if (S >= InnerBegin.size() - 1) // Includes InvalidStmt.
-    return false;
-  for (unsigned K = InnerBegin[S]; K < InnerBegin[S + 1]; ++K)
-    if (TreeIn[Loop] <= TreeIn[Inner[K]] && TreeIn[Inner[K]] < TreeEnd[Loop])
-      return true;
-  return false;
-}
-
-std::unique_ptr<LoopFrequencyStats>
-LoopFrequencyStats::build(const Program &P, DiagnosticEngine &Diags,
-                          CancelToken *Cancel) {
-  auto Stats = std::unique_ptr<LoopFrequencyStats>(new LoopFrequencyStats());
-  bool Failed = false;
-  size_t Skipped = 0;
-  for (const auto &F : P.functions()) {
-    if (Cancel && Cancel->checkpoint()) {
-      ++Skipped;
-      continue;
+LoopFrequencyStats::LoopFrequencyStats(const ProgramAnalysis &PA) : PA(PA) {
+  // A GOTO node keeps the one out-edge buildCfg gives it unless goto
+  // elision detached the node.
+  for (const auto &[F, FA] : PA.all())
+    for (StmtId S = 0; S < F->numStmts(); ++S) {
+      if (!isa<GotoStmt>(F->stmt(S)) || FA->cfg().graph().outDegree(S) != 0)
+        continue;
+      StmtId To = S;
+      while (const auto *G = dyn_cast<GotoStmt>(F->stmt(To)))
+        To = G->target();
+      GotoLanding.emplace(std::make_pair(F, S), To);
     }
-    Cfg C = buildCfg(*F);
-    std::optional<IntervalStructure> IS = IntervalStructure::compute(C, Diags);
-    if (!IS) {
-      Failed = true;
-      continue;
-    }
-    Stats->addFunction(*F, C, *IS);
-  }
-  if (Skipped)
-    Diags.error(cancelMessage(*Cancel, "program analysis") + "; " +
-                std::to_string(Skipped) + " of " +
-                std::to_string(P.functions().size()) +
-                " functions not analyzed");
-  if (Failed || Skipped)
-    return nullptr;
-  return Stats;
-}
-
-LoopFrequencyStats::LoopFrequencyStats(const ProgramAnalysis &RawPA) {
-  for (const auto &[F, FA] : RawPA.all())
-    addFunction(*F, FA->cfg(), FA->intervals());
-}
-
-void LoopFrequencyStats::addFunction(const Function &F, const Cfg &C,
-                                     const IntervalStructure &IS) {
-  const std::vector<NodeId> &Headers = IS.headers();
-  unsigned NumLoops = static_cast<unsigned>(Headers.size());
-  FunctionLoops &L = Loops[&F];
-
-  std::vector<unsigned> LoopOfHeader(C.numNodes(), NoLoop);
-  std::vector<std::pair<StmtId, unsigned>> HeadedPairs, InnerPairs;
-  for (unsigned I = 0; I < NumLoops; ++I) {
-    LoopOfHeader[Headers[I]] = I;
-    auto [In, End] = IS.treeRange(Headers[I]);
-    L.TreeIn.push_back(In);
-    L.TreeEnd.push_back(End);
-    L.HeaderStmt.push_back(C.origin(Headers[I]));
-    if (L.HeaderStmt[I] != InvalidStmt)
-      HeadedPairs.emplace_back(L.HeaderStmt[I], I);
-  }
-  for (NodeId N = 0; N < C.numNodes(); ++N)
-    if (C.origin(N) != InvalidStmt && IS.hdr(N) != InvalidNode)
-      InnerPairs.emplace_back(C.origin(N), LoopOfHeader[IS.hdr(N)]);
-  bucketByStmt(F.numStmts(), HeadedPairs, L.HeadedBegin, L.Headed);
-  bucketByStmt(F.numStmts(), InnerPairs, L.InnerBegin, L.Inner);
 }
 
 void LoopFrequencyStats::onProcedureEntry(const Function &F, unsigned Depth) {
   Frames.resize(Depth + 1);
   FunctionState &State = Frames[Depth];
   State.F = &F;
-  auto It = Loops.find(&F);
-  State.Loops = It == Loops.end() ? nullptr : &It->second;
+  const FunctionAnalysis *FA = PA.tryOf(F);
+  State.Loops = FA ? &FA->intervals() : nullptr;
   State.Active.clear();
 }
 
@@ -308,34 +234,30 @@ void LoopFrequencyStats::onProcedureExit(const Function &, unsigned Depth) {
 void LoopFrequencyStats::onStatement(const Function &, StmtId S,
                                      unsigned Depth) {
   FunctionState &State = Frames[Depth];
-  const FunctionLoops *L = State.Loops;
-  if (!L || S >= L->HeadedBegin.size() - 1)
+  if (!State.Loops || !State.Loops->isHeader(S))
     return;
-
-  // Header executions: bump active loops, activate on first execution.
-  for (unsigned K = L->HeadedBegin[S]; K < L->HeadedBegin[S + 1]; ++K) {
-    unsigned I = L->Headed[K];
-    bool ActiveAlready = false;
-    for (ActiveLoop &A : State.Active)
-      if (A.LoopIdx == I) {
-        A.HeaderExecs += 1;
-        ActiveAlready = true;
-      }
-    if (!ActiveAlready)
-      State.Active.push_back({I, 1.0});
-  }
+  // The transfer here closed every loop not containing S, so an active
+  // loop headed by S is the innermost one.
+  if (!State.Active.empty() && State.Active.back().Header == S)
+    State.Active.back().HeaderExecs += 1;
+  else
+    State.Active.push_back({S, 1.0});
 }
 
 void LoopFrequencyStats::closeLoopsOutside(FunctionState &State,
                                            StmtId Target) {
+  if (State.Active.empty())
+    return;
+  bool InFunction = Target < State.F->numStmts();
+  if (InFunction && isa<GotoStmt>(State.F->stmt(Target)))
+    if (auto It = GotoLanding.find({State.F, Target}); It != GotoLanding.end())
+      Target = It->second;
   while (!State.Active.empty()) {
     ActiveLoop &A = State.Active.back();
-    if (State.Loops->bodyContains(A.LoopIdx, Target))
+    if (InFunction && State.Loops->contains(A.Header, Target))
       return;
-    Moments &M = Stats[{State.F, State.Loops->HeaderStmt[A.LoopIdx]}];
-    M.Entries += 1;
-    M.Sum += A.HeaderExecs;
-    M.SumSq += A.HeaderExecs * A.HeaderExecs;
+    Observed[{State.F, A.Header}] +=
+        {1.0, A.HeaderExecs, A.HeaderExecs * A.HeaderExecs};
     State.Active.pop_back();
   }
 }
@@ -347,32 +269,40 @@ void LoopFrequencyStats::onTransfer(const Function &, StmtId, CfgLabel,
   closeLoopsOutside(Frames[Depth], To);
 }
 
-const LoopFrequencyStats::Moments *
+std::optional<LoopFrequencyStats::Moments>
 LoopFrequencyStats::momentsFor(const Function &F, StmtId HeaderStmt) const {
-  auto It = Stats.find({&F, HeaderStmt});
-  return It == Stats.end() ? nullptr : &It->second;
+  std::optional<Moments> Sum;
+  for (const MomentMap *From : {&Observed, &Ingested})
+    if (auto It = From->find({&F, HeaderStmt}); It != From->end()) {
+      if (!Sum)
+        Sum.emplace();
+      *Sum += It->second;
+    }
+  return Sum;
 }
 
 std::vector<std::pair<StmtId, LoopFrequencyStats::Moments>>
-LoopFrequencyStats::momentsOf(const Function &F) const {
-  std::vector<std::pair<StmtId, Moments>> Out;
-  for (auto It = Stats.lower_bound({&F, 0});
-       It != Stats.end() && It->first.first == &F; ++It)
-    Out.emplace_back(It->first.second, It->second);
-  return Out;
+LoopFrequencyStats::momentsOf(const Function &F, MomentSet Which) const {
+  std::map<StmtId, Moments> Merged;
+  auto Add = [&](const MomentMap &From) {
+    for (auto It = From.lower_bound({&F, 0});
+         It != From.end() && It->first.first == &F; ++It)
+      Merged[It->first.second] += It->second;
+  };
+  Add(Observed);
+  if (Which == MomentSet::All)
+    Add(Ingested);
+  return {Merged.begin(), Merged.end()};
 }
 
 void LoopFrequencyStats::addMoments(const Function &F, StmtId HeaderStmt,
                                     const Moments &M) {
-  Moments &Acc = Stats[{&F, HeaderStmt}];
-  Acc.Entries += M.Entries;
-  Acc.Sum += M.Sum;
-  Acc.SumSq += M.SumSq;
+  Ingested[{&F, HeaderStmt}] += M;
 }
 
 const std::vector<StmtId> &
 LoopFrequencyStats::headerStmts(const Function &F) const {
   static const std::vector<StmtId> None;
-  auto It = Loops.find(&F);
-  return It == Loops.end() ? None : It->second.HeaderStmt;
+  const FunctionAnalysis *FA = PA.tryOf(F);
+  return FA ? FA->intervals().headers() : None;
 }

@@ -30,6 +30,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace ptran {
@@ -133,24 +134,20 @@ private:
 };
 
 /// Per-loop frequency moments: for each loop entry, the number of header
-/// executions until the loop was left. Loops come from each procedure's
-/// goto-preserving CFG (GOTO nodes kept), so statement/loop membership
-/// matches run-time events exactly. Only flat per-function tables survive
-/// construction: each statement or transfer event costs O(1 + loop
-/// depth), and the tables take O(statements + loops) memory.
+/// executions until the loop was left. Loops are those of the analysis
+/// the estimate walks, so the moments sit under exactly the header
+/// statements the Section 5 variance pass looks up. Header and body
+/// queries go straight to each function's IntervalStructure (statement S
+/// is CFG node S). A run still executes the GOTO statements goto elision
+/// folded into edges: each counts as the statement its chain lands on for
+/// body membership, never as a header execution. Each statement or
+/// transfer event costs O(1) plus the loops it closes. Moments folded in
+/// from elsewhere (addMoments) are kept apart from the observed ones.
 class LoopFrequencyStats : public ExecutionObserver {
 public:
-  /// Builds the tables of every procedure of \p P from its goto-preserving
-  /// CFG and interval structure, one procedure at a time; neither outlives
-  /// that procedure's turn. \p Cancel, when set, is polled once per
-  /// procedure. Returns null, with the error on \p Diags, when a
-  /// goto-preserving CFG is irreducible or \p Cancel expires.
-  static std::unique_ptr<LoopFrequencyStats>
-  build(const Program &P, DiagnosticEngine &Diags, CancelToken *Cancel);
-
-  /// Builds the tables from an analysis computed with
-  /// AnalysisOptions{.ElideGotos = false}.
-  explicit LoopFrequencyStats(const ProgramAnalysis &RawPA);
+  /// Reads the loops of every function \p PA analyzed; \p PA must outlive
+  /// the stats.
+  explicit LoopFrequencyStats(const ProgramAnalysis &PA);
 
   void onProcedureEntry(const Function &F, unsigned Depth) override;
   void onProcedureExit(const Function &F, unsigned Depth) override;
@@ -171,74 +168,64 @@ public:
       double V = meanSquare() - M * M;
       return V > 0.0 ? V : 0.0;
     }
+    Moments &operator+=(const Moments &O) {
+      Entries += O.Entries;
+      Sum += O.Sum;
+      SumSq += O.SumSq;
+      return *this;
+    }
   };
 
-  /// Moments for the loop whose header is the statement \p HeaderStmt of
-  /// \p F (statement ids are stable across goto elision).
-  const Moments *momentsFor(const Function &F, StmtId HeaderStmt) const;
+  /// Which recorded moments momentsOf() reports.
+  enum class MomentSet {
+    All,      ///< Observed plus ingested (what estimation reads).
+    Observed, ///< Only those of runs this observer watched.
+  };
 
-  /// All recorded loop moments of \p F, ordered by header statement (the
+  /// Observed plus ingested moments for the loop whose header is the
+  /// statement \p HeaderStmt of \p F; nullopt when neither exists.
+  std::optional<Moments> momentsFor(const Function &F,
+                                    StmtId HeaderStmt) const;
+
+  /// \p F's recorded loop moments, ordered by header statement (the
   /// enumeration profile capture serializes).
-  std::vector<std::pair<StmtId, Moments>> momentsOf(const Function &F) const;
+  std::vector<std::pair<StmtId, Moments>>
+  momentsOf(const Function &F, MomentSet Which = MomentSet::All) const;
 
-  /// Folds externally ingested moments (e.g. loaded from a profile file)
-  /// into the accumulator for (\p F, \p HeaderStmt).
+  /// Records externally ingested moments (e.g. loaded from a profile file)
+  /// for (\p F, \p HeaderStmt), apart from the observed ones.
   void addMoments(const Function &F, StmtId HeaderStmt, const Moments &M);
 
   /// The header statement of each of \p F's loops, in
-  /// IntervalStructure::headers() order of its goto-preserving CFG
-  /// (InvalidStmt for a header with no statement); empty for a function
-  /// without tables.
+  /// IntervalStructure::headers() order; empty for a function the analysis
+  /// does not cover.
   const std::vector<StmtId> &headerStmts(const Function &F) const;
 
 private:
-  static constexpr unsigned NoLoop = static_cast<unsigned>(-1);
+  using MomentMap = std::map<std::pair<const Function *, StmtId>, Moments>;
 
-  LoopFrequencyStats() = default;
-
-  /// Fills F's tables from its goto-preserving CFG and intervals.
-  void addFunction(const Function &F, const Cfg &C,
-                   const IntervalStructure &IS);
-
-  /// One function's loops, indexed in IntervalStructure::headers() order.
-  /// Statement events cost O(1 + depth): loops are found by header
-  /// statement, and body membership is a header-tree ancestor test on the
-  /// statement's innermost loop.
-  struct FunctionLoops {
-    std::vector<StmtId> HeaderStmt;
-    /// Header-tree preorder interval (IntervalStructure::treeRange): loop
-    /// J is loop I or nested in it iff TreeIn[I] <= TreeIn[J] < TreeEnd[I].
-    std::vector<unsigned> TreeIn;
-    std::vector<unsigned> TreeEnd;
-    /// Loops headed by statement S: Headed[HeadedBegin[S] ..
-    /// HeadedBegin[S + 1]), in loop order.
-    std::vector<unsigned> HeadedBegin;
-    std::vector<unsigned> Headed;
-    /// Innermost loops of statement S's CFG nodes (S is in a loop's body
-    /// iff one of them is that loop or nested in it): Inner[InnerBegin[S]
-    /// .. InnerBegin[S + 1]).
-    std::vector<unsigned> InnerBegin;
-    std::vector<unsigned> Inner;
-
-    /// True if statement \p S belongs to loop \p Loop's body.
-    bool bodyContains(unsigned Loop, StmtId S) const;
-  };
   struct ActiveLoop {
-    unsigned LoopIdx = 0;
+    StmtId Header = InvalidStmt;
     double HeaderExecs = 0;
   };
   struct FunctionState {
     const Function *F = nullptr;
     /// F's loops, or null when F was not analyzed.
-    const FunctionLoops *Loops = nullptr;
-    /// Active loops, innermost last.
+    const IntervalStructure *Loops = nullptr;
+    /// Active loops, innermost last; each nests in the one before it.
     std::vector<ActiveLoop> Active;
   };
 
+  /// Records and pops, innermost first, the active loops whose body does
+  /// not contain \p Target (InvalidStmt: control leaves the procedure).
   void closeLoopsOutside(FunctionState &State, StmtId Target);
 
-  std::map<const Function *, FunctionLoops> Loops;
-  std::map<std::pair<const Function *, StmtId>, Moments> Stats;
+  const ProgramAnalysis &PA;
+  /// Each GOTO statement goto elision removed, mapped to the statement its
+  /// chain lands on.
+  std::map<std::pair<const Function *, StmtId>, StmtId> GotoLanding;
+  MomentMap Observed;
+  MomentMap Ingested;
   /// Stack of per-activation states, indexed by frame depth.
   std::vector<FunctionState> Frames;
 };

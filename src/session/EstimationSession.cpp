@@ -150,7 +150,8 @@ uint64_t EstimationSession::inputKeyOf(const Function &F,
   // correctly.
   const LoopFrequencyStats &Stats = Est->loopStats();
   for (StmtId S : Stats.headerStmts(F))
-    if (const LoopFrequencyStats::Moments *M = Stats.momentsFor(F, S)) {
+    if (std::optional<LoopFrequencyStats::Moments> M =
+            Stats.momentsFor(F, S)) {
       Mix(static_cast<uint64_t>(S));
       MixDouble(M->Entries);
       MixDouble(M->Sum);
@@ -557,28 +558,32 @@ EstimationSession::estimateLocked(const std::vector<EstimateRequest> &Requests) 
   return Results;
 }
 
-ProfileFile EstimationSession::captureProfileLocked() const {
+ProfileFile EstimationSession::captureProfileLocked(
+    LoopFrequencyStats::MomentSet Moments) const {
   return ProfileFile::capture(Est->analysis(), Est->plan(), Est->runtime(),
-                              &Est->loopStats(), Runs);
+                              &Est->loopStats(), Runs, Moments);
 }
 
 ProfileFile EstimationSession::captureProfile() const {
   std::lock_guard<std::mutex> L(Mu);
-  return captureProfileLocked();
+  return captureProfileLocked(LoopFrequencyStats::MomentSet::Observed);
 }
 
 bool EstimationSession::saveProfile(const std::string &Path,
                                     DiagnosticEngine *Diags) const {
   std::lock_guard<std::mutex> L(Mu);
-  return captureProfileLocked().saveToFile(Path, Diags, Opts.IoRetry,
-                                           Opts.Obs.Registry);
+  return captureProfileLocked(LoopFrequencyStats::MomentSet::Observed)
+      .saveToFile(Path, Diags, Opts.IoRetry, Opts.Obs.Registry);
 }
 
 void EstimationSession::captureDurableState(
     durable::DurableSessionState &Out) const {
   std::lock_guard<std::mutex> L(Mu);
   Out.Runs = Runs;
-  Out.ProfileImage = captureProfileLocked().serialize();
+  // Every moment estimation reads, ingested ones included, so a restored
+  // session estimates exactly as this one does.
+  Out.ProfileImage =
+      captureProfileLocked(LoopFrequencyStats::MomentSet::All).serialize();
   Out.External.clear();
   Out.Saturated.clear();
   Out.Quarantined.clear();

@@ -193,11 +193,9 @@ public:
   ProfileIngestReport ingestProfile(const ProfileFile &PF,
                                     CancelToken *Cancel);
 
-  /// Snapshots the session's accumulated counter runtime and loop moments
-  /// as a durable profile (external deltas are not counter-representable
-  /// and are not included). Loop moments folded in by ingestProfile() are
-  /// included, so a capture that must hold only this session's own runs
-  /// has to be taken before any ingest.
+  /// Snapshots the session's accumulated counter runtime and the loop
+  /// moments of its own runs as a durable profile (external deltas are not
+  /// counter-representable and are not included).
   ProfileFile captureProfile() const;
 
   /// captureProfile() + ProfileFile::saveToFile, through the session's
@@ -207,7 +205,8 @@ public:
 
   /// Fills the session-owned slice of a durable snapshot (the serve layer
   /// owns Name/Source/Mode): run count, the serialized PTPF image of the
-  /// accumulated counter state, the external totals, and the saturation/
+  /// accumulated counter state and of every loop moment estimation reads
+  /// (ingested ones included), the external totals, and the saturation/
   /// quarantine sets — everything in program order, so identical session
   /// state always produces identical snapshot bytes (the kill-and-recover
   /// test memcmps them). One lock acquisition: the capture is a consistent
@@ -288,7 +287,8 @@ private:
   std::vector<EstimateResult>
   estimateLocked(const std::vector<EstimateRequest> &Requests);
   ProfileIngestReport ingestProfileLocked(const ProfileFile &PF);
-  ProfileFile captureProfileLocked() const;
+  ProfileFile
+  captureProfileLocked(LoopFrequencyStats::MomentSet Moments) const;
   void accumulateTotalsLocked(const Function &F, const FrequencyTotals &Delta);
 
   /// Per-function input state, refreshed lazily before a query.

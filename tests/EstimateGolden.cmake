@@ -38,11 +38,15 @@ set(CASES
   "profile_in|input.f --runs=0 --profile-in=golden.ptpf"
   "deadline_fail|--workload=loops --deadline-ms=0 --on-deadline=fail"
   "deadline_degrade|--workload=loops --deadline-ms=0 --on-deadline=degrade"
+  "goto_loop_profiled|goto_loop.f --loop-variance=profiled"
+  "goto_loop_twin_profiled|goto_loop_twin.f --loop-variance=profiled"
+  "goto_irreducible|goto_irreducible.f"
 )
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
-configure_file(${GOLDEN_DIR}/input.f ${WORK_DIR}/input.f COPYONLY)
+file(GLOB INPUTS ${GOLDEN_DIR}/*.f)
+file(COPY ${INPUTS} DESTINATION ${WORK_DIR})
 
 set(FAILED "")
 foreach(CASE IN LISTS CASES)
@@ -125,6 +129,16 @@ execute_process(
 if(NAIVE_CHECK_RC EQUAL 0 OR NOT NAIVE_CHECK_ERR MATCHES "--check does not work with --mode=naive")
   message(FATAL_ERROR
     "--mode=naive --check is not rejected: rc=${NAIVE_CHECK_RC} ${NAIVE_CHECK_ERR}")
+endif()
+
+# A loop whose goto-preserving header is a GOTO that goto elision folds
+# away gets the same profiled loop variance as its GOTO-free twin (the
+# moments used to sit under the GOTO, where the variance pass never looks).
+file(READ ${WORK_DIR}/goto_loop_profiled.txt GOTO_LOOP_OUT)
+file(READ ${WORK_DIR}/goto_loop_twin_profiled.txt GOTO_TWIN_OUT)
+if(NOT GOTO_LOOP_OUT STREQUAL GOTO_TWIN_OUT)
+  message(FATAL_ERROR "goto_loop.f and goto_loop_twin.f estimate differently "
+    "under --loop-variance=profiled")
 endif()
 
 list(LENGTH CASES NUM_CASES)

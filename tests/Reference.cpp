@@ -223,7 +223,7 @@ double loopFreqVariance(const FunctionAnalysis &FA,
     if (!Opts.Stats)
       return 0.0;
     NodeId Header = FA.ecfg().headerOf(Ph);
-    const LoopFrequencyStats::Moments *M = Opts.Stats->momentsFor(
+    std::optional<LoopFrequencyStats::Moments> M = Opts.Stats->momentsFor(
         FA.function(), FA.ecfg().cfg().origin(Header));
     return M ? M->variance() : 0.0;
   }

@@ -259,9 +259,9 @@ TEST(TimeAnalysisUnit, ProfiledLoopVarianceUsesMoments) {
   // And the moments themselves are right: inner loop header executions
   // per entry are 2..7, mean 4.5.
   const Function *Main = Prog.entry();
-  const LoopFrequencyStats::Moments *M =
+  std::optional<LoopFrequencyStats::Moments> M =
       Est->loopStats().momentsFor(*Main, /*HeaderStmt=*/1);
-  ASSERT_NE(M, nullptr);
+  ASSERT_TRUE(M.has_value());
   EXPECT_DOUBLE_EQ(M->Entries, 6.0);
   EXPECT_DOUBLE_EQ(M->mean(), 4.5);
   EXPECT_NEAR(M->variance(), (49.0 - 1.0) / 12.0 - 0.0, 3.0); // ~2.9.

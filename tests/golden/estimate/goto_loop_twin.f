@@ -1,0 +1,9 @@
+program main
+  integer i, j
+  do 30 j = 1, 8
+    i = 0
+20  i = i + 1
+    if (i .lt. j) goto 20
+30 continue
+  print i
+end

@@ -323,6 +323,22 @@ TEST(ObsStats, TableAggregatesPerSpanName) {
   EXPECT_EQ(Table.find("pass.a", First + 1), std::string::npos);
 }
 
+TEST(ObsStats, SpanRecordsAreCappedButEverySpanIsCounted) {
+  // A daemon records spans for its whole uptime: the kept records stop at
+  // the cap while the per-name aggregates behind the table count on.
+  ObsRegistry Reg;
+  const size_t Total = ObsRegistry::MaxSpanRecords + 1000;
+  for (size_t I = 0; I < Total; ++I)
+    TimingSpan Span(&Reg, "tick");
+  EXPECT_EQ(Reg.spans().size(), ObsRegistry::MaxSpanRecords);
+  std::string Table = Reg.statsTable();
+  size_t Row = Table.find("tick");
+  ASSERT_NE(Row, std::string::npos) << Table;
+  std::string Line = Table.substr(Row, Table.find('\n', Row) - Row);
+  EXPECT_NE(Line.find(" " + std::to_string(Total) + " "), std::string::npos)
+      << Line;
+}
+
 //===----------------------------------------------------------------------===//
 // End to end
 //===----------------------------------------------------------------------===//
@@ -352,9 +368,8 @@ TEST(ObsEndToEnd, EstimatorRecordsEveryPass) {
 }
 
 TEST(ObsEndToEnd, EstimatorAnalyzesEachFunctionOnce) {
-  // One ProgramAnalysis per estimator: loop statistics build their tables
-  // from goto-preserving CFGs and intervals alone, never from a second
-  // ECFG and FCDG.
+  // One ProgramAnalysis per estimator: loop statistics read its interval
+  // structures and build no CFG, ECFG or FCDG of their own.
   std::unique_ptr<Program> P = parseWorkload(livermoreLoops());
   DiagnosticEngine Diags;
   ObsRegistry Reg;

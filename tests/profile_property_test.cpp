@@ -10,9 +10,11 @@
 
 #include "TestPrograms.h"
 
+#include "cost/Estimator.h"
 #include "interp/Interpreter.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "parser/Parser.h"
 #include "profile/ProfileRuntime.h"
 #include "workloads/Workloads.h"
 
@@ -126,6 +128,87 @@ TEST_P(RandomProgramRecovery, OptimizationMonotonicallyReducesCounters) {
   // Static counter counts: each optimization level may only help.
   EXPECT_LE(Opt12.totalCounters(), Opt1.totalCounters());
   EXPECT_LE(Smart.totalCounters(), Opt12.totalCounters());
+}
+
+/// Runs \p Prog once through an Estimator with an exact profiler alongside
+/// and checks, for every loop header H of the estimator's analysis, that
+/// the loop moments' Sigma FREQ equals H's exact execution count: every
+/// header execution lands in exactly one recorded loop entry, under the
+/// statement the variance pass looks up.
+void expectLoopSumsMatchHeaderCounts(const Program &Prog) {
+  DiagnosticEngine Diags;
+  std::unique_ptr<Estimator> Est =
+      Estimator::create(Prog, CostModel::optimizing(), EstimatorOptions(Diags));
+  ASSERT_NE(Est, nullptr) << Diags.str();
+  ExactProfile Exact(Est->analysis());
+  RunResult R = Est->profiledRun(Interpreter::DefaultMaxSteps, &Exact);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  for (const auto &F : Prog.functions()) {
+    const FunctionAnalysis &FA = Est->analysis().of(*F);
+    for (NodeId H : FA.intervals().headers()) {
+      StmtId S = FA.cfg().origin(H);
+      std::optional<LoopFrequencyStats::Moments> M =
+          Est->loopStats().momentsFor(*F, S);
+      EXPECT_EQ(M ? M->Sum : 0.0, Exact.stmtCount(*F, S))
+          << "loop headed by " << FA.cfg().nodeName(H) << " in "
+          << F->name() << "\n"
+          << printFunction(*F);
+    }
+  }
+}
+
+TEST_P(RandomProgramRecovery, LoopMomentSumsMatchHeaderCounts) {
+  expectLoopSumsMatchHeaderCounts(
+      *makeRandomProgram(GetParam(), RandomProgramConfig()));
+}
+
+TEST(LoopMoments, GotoFormedLoopsSumToHeaderCounts) {
+  // Loops whose goto-preserving header, latch or exit is a GOTO that goto
+  // elision folds into an edge, including a GOTO chain and a loop that is
+  // irreducible only through such a GOTO.
+  const char *Sources[] = {
+      R"(program main
+  integer i, j
+  do 30 j = 1, 8
+    i = 0
+10  goto 20
+20  i = i + 1
+    if (i .lt. j) goto 10
+30 continue
+end
+)",
+      R"(program main
+  integer i, x
+  i = 0
+  x = 1
+  if (x .gt. 0) goto 20
+10 goto 20
+20 i = i + 1
+  if (i .lt. 3) goto 10
+end
+)",
+      R"(program main
+  integer i, j
+  j = 0
+  do 40 i = 1, 5
+10  goto 15
+15  goto 20
+20  j = j + 1
+    if (j .gt. 2 * i) goto 30
+    if (mod(j, 3) .eq. 0) goto 35
+    goto 15
+35  goto 10
+30  goto 40
+40 continue
+end
+)",
+  };
+  for (const char *Src : Sources) {
+    DiagnosticEngine Diags;
+    std::unique_ptr<Program> Prog = parseProgram(Src, Diags);
+    ASSERT_NE(Prog, nullptr) << Diags.str();
+    expectLoopSumsMatchHeaderCounts(*Prog);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramRecovery,

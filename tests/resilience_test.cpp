@@ -443,27 +443,6 @@ TEST(Resilience, PreCancelledAnalysisSkipsEveryFunction) {
   EXPECT_NE(EDiags.str().find("cut short"), std::string::npos);
 }
 
-TEST(Resilience, ExpiryDuringLoopTableBuildFailsCreate) {
-  // The elided analysis polls once per function; a budget a few steps
-  // larger lets it finish and then runs out while the loop statistics
-  // build their tables, which poll once per function too.
-  std::unique_ptr<Program> Prog = makeManyFunctionProgram(7, 2);
-  unsigned N = static_cast<unsigned>(Prog->functions().size());
-  CancelToken Token;
-  Token.setStepBudget(N + 3);
-  DiagnosticEngine Diags;
-  EXPECT_EQ(Estimator::create(*Prog, CostModel::optimizing(),
-                              EstimatorOptions(Diags).jobs(1).cancel(Token)),
-            nullptr);
-  EXPECT_EQ(Token.reason(), CancelReason::StepBudget);
-  std::string Expected = "timeout: program analysis cut short: step budget "
-                         "exhausted after " +
-                         std::to_string(N + 4) + " steps; " +
-                         std::to_string(N - 3) + " of " + std::to_string(N) +
-                         " functions not analyzed";
-  EXPECT_NE(Diags.str().find(Expected), std::string::npos) << Diags.str();
-}
-
 TEST(Resilience, RecoveryFixpointHonorsAnExpiredToken) {
   std::unique_ptr<Program> Prog = parseWorkload(simpleKernel());
   DiagnosticEngine Diags;

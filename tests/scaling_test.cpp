@@ -8,10 +8,9 @@
 /// An asymptotic and footprint regression test. It runs the whole cold
 /// pipeline on one large procedure, makeScalingProgram(2048, 10): 20480
 /// loops nested ten deep, 51k statements, 25M simulated cycles. The
-/// pipeline is the analysis (CFG, intervals, ECFG, FCDG), the loop
-/// statistics' tables from the goto-preserving CFG, the smart counter
-/// plan, one profiled run with LoopFrequencyStats attached, TOTAL_FREQ
-/// recovery and TIME/VAR with profiled loop variance.
+/// pipeline is the analysis (CFG, intervals, ECFG, FCDG), the smart
+/// counter plan, one profiled run with LoopFrequencyStats attached,
+/// TOTAL_FREQ recovery and TIME/VAR with profiled loop variance.
 ///
 /// The result check: TIME(START) must equal the simulated cycles of the
 /// profiled run, since the frequencies came from that run. The time gate

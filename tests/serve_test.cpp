@@ -189,6 +189,28 @@ TEST(ServeCoreTest, LoadRunEstimateCaptureIngest) {
   EXPECT_EQ(Est2.param("time"), Est.param("time"));
 }
 
+TEST(ServeCoreTest, CaptureProfileHoldsOnlyTheSessionsOwnLoopMoments) {
+  // An ingested profile's loop moments feed estimates but are not this
+  // session's own data, so capturing again returns the same bytes.
+  ServeOptions Opts;
+  ServeCore Core(Opts);
+  WireMessage Load = makeRequest("load-program", "s0");
+  Load.Params["workload"] = "loops";
+  ASSERT_EQ(Core.handle(Load).Verb, "ok");
+  ASSERT_EQ(Core.handle(makeRequest("run", "s0")).Verb, "ok");
+
+  WireMessage A = Core.handle(makeRequest("capture-profile", "s0"));
+  ASSERT_EQ(A.Verb, "ok") << A.param("message");
+  WireMessage Ingest = makeRequest("ingest-profile", "s0");
+  Ingest.Body = A.Body;
+  WireMessage IngResp = Core.handle(Ingest);
+  ASSERT_EQ(IngResp.Verb, "ok") << IngResp.param("message");
+  WireMessage B = Core.handle(makeRequest("capture-profile", "s0"));
+  ASSERT_EQ(B.Verb, "ok") << B.param("message");
+  EXPECT_TRUE(B.Body == A.Body) << "capture-profile after ingest-profile "
+                                   "returned different bytes";
+}
+
 TEST(ServeCoreTest, EstimateBatchRoundTripsAndMatchesSingleEstimates) {
   ServeOptions Opts;
   ServeCore Core(Opts);

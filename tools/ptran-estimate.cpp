@@ -624,9 +624,8 @@ int runEstimation(const Options &Opts, const Program &Prog,
   if (Sampler)
     std::printf("%s\n", Sampler->report().c_str());
 
-  // This invocation's own profile, captured before any ingest folds other
-  // runs' loop moments into the session: --profile-out saves it and --pdb
-  // adds it to the database.
+  // This invocation's own profile: --profile-out saves it and --pdb adds
+  // it to the database.
   std::optional<ProfileFile> Own;
   if (!Opts.ProfileOut.empty() || !Opts.PdbFile.empty())
     Own = Session->captureProfile();
